@@ -1,14 +1,19 @@
-// Command atrd is the ATR simulation daemon: a long-running HTTP service
-// that accepts simulation and sweep jobs, executes them on the sweep
-// engine's work-stealing pool, and streams progress as NDJSON/SSE.
+// Command atrd is the ATR job service: an HTTP coordinator that accepts
+// simulation and sweep jobs, leases their units to workers, and serves
+// merged manifests byte-identical to offline atrsweep. Plain atrd is the
+// coordinator plus an in-process worker of -sim-workers slots;
+// -coordinator starts no in-process worker and leaves every unit to
+// joined workers; -join runs such a worker.
 //
-//	atrd [-addr :8437] [-state atrd-state] [-n instr]
-//	     [-sim-workers N] [-job-workers N] [-queue N]
-//	     [-rate r] [-burst N] [-cache-cap N] [-runner-cache-cap N]
-//	     [-retries N] [-backoff d] [-drain d]
+//	atrd [-coordinator] [-addr :8437] [-state atrd-state] [-n instr]
+//	     [-sim-workers N] [-retries N] [-backoff d] [-runner-cache-cap N]
+//	     [-queue N] [-rate r] [-burst N] [-max-active N] [-cache-cap N]
+//	     [-heartbeat-timeout d] [-lease-timeout d] [-drain d]
 //	     [-log-format text|json] [-log-level debug|info|warn|error] [-pprof]
+//	atrd -join http://coordinator:8437 [-name w1] [-addr :8438]
+//	     [-sim-workers N] [-retries N] [-backoff d] [-poll-interval d]
 //
-// API (all JSON):
+// Client API (JSON; atrctl speaks it):
 //
 //	POST   /v1/jobs               submit {"kind":"grid","grid":"fig10"} etc.;
 //	                              ?watch=1 streams progress on the same
@@ -16,33 +21,27 @@
 //	GET    /v1/jobs               list jobs
 //	GET    /v1/jobs/{id}          job status
 //	GET    /v1/jobs/{id}/events   live progress stream
-//	GET    /v1/jobs/{id}/manifest deterministic result manifest — byte-
-//	                              identical to offline atrsweep output
+//	GET    /v1/jobs/{id}/manifest deterministic result manifest
 //	GET    /v1/jobs/{id}/perf     scheduling telemetry with provenance
 //	DELETE /v1/jobs/{id}          cancel
 //	GET    /healthz               liveness (503 while draining)
-//	GET    /metrics               Prometheus text exposition; the legacy
-//	                              JSON view (obs.ServerInfo) with
+//	GET    /metrics               Prometheus text exposition; the JSON
+//	                              view (obs.ServerInfo) with
 //	                              Accept: application/json
 //	GET    /debug/pprof/...       runtime profiles, only with -pprof
 //
-// Backpressure: a full job queue or an exhausted per-client token bucket
-// answers 429 with Retry-After. On SIGINT/SIGTERM the daemon drains:
-// in-flight runs finish and are journaled, incomplete jobs park in the
-// state dir, and the next atrd over the same -state resumes them.
+// Joined workers register, heartbeat, poll for unit leases and upload
+// records on POST /cluster/v1/{register,heartbeat,poll,results}; the
+// in-process worker makes none of these calls. Operators read the fleet
+// at GET /cluster/v1/workers and set tenant quotas at /cluster/v1/quotas.
 //
-// Distributed mode — the same binary plays both cluster roles:
-//
-//	atrd -coordinator [-addr :8437] [-state dir] [-heartbeat-timeout d]
-//	     [-lease-timeout d] [-max-active N] [-rate r] [-burst N]
-//	atrd -join http://coordinator:8437 [-name w1] [-addr :8438]
-//	     [-sim-workers N] [-poll-interval d] [-retries N] [-backoff d]
-//
-// A coordinator serves the identical /v1/jobs API (atrctl works
-// unchanged) but shards grid units across joined workers instead of
-// executing locally, merging uploads into manifests byte-identical to a
-// single-node run. A joined worker executes leased units on the sweep
-// engine's per-unit path and serves only /healthz and /metrics itself.
+// Backpressure: a full queue (-queue jobs none of whose units is leased
+// yet), an exhausted per-client token bucket, or a tenant at its
+// -max-active quota answers 429 with Retry-After. On SIGINT/SIGTERM the
+// daemon drains: in-flight units finish and are journaled, unfinished
+// jobs park in the state dir, and the next atrd over the same -state
+// resumes them. A joined worker keeps no state and serves only /healthz
+// and /metrics on -addr.
 package main
 
 import (
@@ -58,7 +57,6 @@ import (
 	"syscall"
 	"time"
 
-	"atr/internal/cluster"
 	"atr/internal/server"
 )
 
@@ -97,81 +95,72 @@ func main() {
 	addr := flag.String("addr", ":8437", "listen address")
 	state := flag.String("state", "atrd-state", "state directory (job specs, journals, manifests)")
 	instr := flag.Uint64("n", 40000, "default instructions per run for specs that omit it")
-	simWorkers := flag.Int("sim-workers", 0, "simulation pool width per job (0 selects GOMAXPROCS)")
-	jobWorkers := flag.Int("job-workers", 2, "jobs executing concurrently")
-	queue := flag.Int("queue", 64, "bounded job queue depth (beyond it: 429 + Retry-After)")
+	simWorkers := flag.Int("sim-workers", 0, "simulation slots of the in-process or joined worker (0 selects GOMAXPROCS)")
+	queue := flag.Int("queue", 64, "bound on queued jobs, none of whose units is leased yet (beyond it: 429 + Retry-After)")
 	rate := flag.Float64("rate", 5, "per-client submissions/sec (negative disables limiting)")
 	burst := flag.Int("burst", 10, "per-client submission burst")
 	cacheCap := flag.Int("cache-cap", 65536, "content-addressed result cache entries")
-	runnerCacheCap := flag.Int("runner-cache-cap", 0, "shared program/memo cache entries (0 selects default)")
+	runnerCacheCap := flag.Int("runner-cache-cap", 0, "in-process worker program cache entries (0 selects default)")
 	retries := flag.Int("retries", 1, "retries per failing run")
 	backoff := flag.Duration("backoff", 100*time.Millisecond, "first-retry backoff (doubles per retry)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown drain budget")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	coordinator := flag.Bool("coordinator", false, "run as cluster coordinator: shard grids across joined workers")
-	join := flag.String("join", "", "run as cluster worker joined to this coordinator URL")
+	coordinator := flag.Bool("coordinator", false, "start no in-process worker: joined workers execute every unit")
+	join := flag.String("join", "", "run as a worker joined to this coordinator URL")
 	name := flag.String("name", "", "worker name, stable across restarts (default: hostname)")
-	hbTimeout := flag.Duration("heartbeat-timeout", 10*time.Second, "coordinator: evict workers silent this long")
-	leaseTimeout := flag.Duration("lease-timeout", 60*time.Second, "coordinator: reclaim unit leases unsatisfied this long")
+	hbTimeout := flag.Duration("heartbeat-timeout", 10*time.Second, "evict joined workers silent this long")
+	leaseTimeout := flag.Duration("lease-timeout", 60*time.Second, "reclaim joined workers' unit leases unsatisfied this long")
 	pollInterval := flag.Duration("poll-interval", 250*time.Millisecond, "worker: idle sleep between empty polls")
-	maxActive := flag.Int("max-active", 0, "coordinator: default per-tenant active-job quota (0 = unlimited)")
+	maxActive := flag.Int("max-active", 0, "default per-tenant active-job quota (0 = unlimited)")
 	flag.Parse()
 
-	if *coordinator && *join != "" {
+	switch {
+	case *coordinator && *join != "":
 		fmt.Fprintln(os.Stderr, "atrd: -coordinator and -join are mutually exclusive")
 		os.Exit(2)
-	}
-	if *coordinator {
-		os.Exit(runCoordinator(newLogger(*logFormat, *logLevel), coordArgs{
-			addr: *addr, state: *state, instr: *instr,
-			hbTimeout: *hbTimeout, leaseTimeout: *leaseTimeout,
-			rate: *rate, burst: *burst, maxActive: *maxActive, cacheCap: *cacheCap,
-			drain: *drain,
-		}))
-	}
-	if *join != "" {
-		os.Exit(runWorker(newLogger(*logFormat, *logLevel), workerArgs{
-			coordinator: *join, name: *name, addr: *addr,
-			simWorkers: *simWorkers, retries: *retries, backoff: *backoff,
-			pollInterval: *pollInterval,
-		}))
-	}
-
-	if *queue < 1 || *jobWorkers < 1 {
-		fmt.Fprintln(os.Stderr, "atrd: -queue and -job-workers must be >= 1")
+	case *queue < 1 || *simWorkers < 0 || *retries < 0:
+		fmt.Fprintln(os.Stderr, "atrd: -queue must be >= 1, -sim-workers and -retries >= 0")
 		os.Exit(2)
 	}
-	if *retries < 0 {
-		fmt.Fprintln(os.Stderr, "atrd: -retries must be >= 0")
-		os.Exit(2)
-	}
-
 	logger := newLogger(*logFormat, *logLevel)
+	if *join != "" {
+		os.Exit(runWorker(logger, server.WorkerOptions{
+			Coordinator: *join, Name: *name, Addr: *addr,
+			SimWorkers: *simWorkers, Retries: *retries, Backoff: *backoff,
+			PollInterval: *pollInterval, Logger: logger,
+		}))
+	}
 
-	srv, err := server.New(server.Options{
-		StateDir:       *state,
-		DefaultInstr:   *instr,
-		SimWorkers:     *simWorkers,
-		JobWorkers:     *jobWorkers,
-		QueueDepth:     *queue,
-		Rate:           *rate,
-		Burst:          *burst,
-		CacheCap:       *cacheCap,
-		RunnerCacheCap: *runnerCacheCap,
-		Retries:        *retries,
-		Backoff:        *backoff,
-		Logger:         logger,
+	slots := *simWorkers
+	if *coordinator {
+		slots = -1
+	}
+	c, err := server.NewCoordinator(server.Options{
+		StateDir:         *state,
+		DefaultInstr:     *instr,
+		SimWorkers:       slots,
+		Retries:          *retries,
+		Backoff:          *backoff,
+		RunnerCacheCap:   *runnerCacheCap,
+		QueueDepth:       *queue,
+		Rate:             *rate,
+		Burst:            *burst,
+		MaxActive:        *maxActive,
+		CacheCap:         *cacheCap,
+		HeartbeatTimeout: *hbTimeout,
+		LeaseTimeout:     *leaseTimeout,
+		Logger:           logger,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "atrd:", err)
 		os.Exit(1)
 	}
 
-	// The daemon mux stays profiler-free; -pprof mounts the profiler on an
-	// outer mux so the flag is the only thing deciding exposure.
-	var handler http.Handler = srv
+	// The service mux stays profiler-free; -pprof mounts the profiler on
+	// an outer mux so the flag is the only thing deciding exposure.
+	var handler http.Handler = c
 	if *pprofOn {
 		outer := http.NewServeMux()
 		outer.HandleFunc("/debug/pprof/", pprof.Index)
@@ -179,14 +168,14 @@ func main() {
 		outer.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		outer.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		outer.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		outer.Handle("/", srv)
+		outer.Handle("/", c)
 		handler = outer
 	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	logger.Info("serving", "addr", *addr, "state", *state, "pprof", *pprofOn)
+	logger.Info("serving", "addr", *addr, "state", *state, "coordinator_only", *coordinator, "pprof", *pprofOn)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -201,98 +190,28 @@ func main() {
 	dctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	_ = httpSrv.Shutdown(dctx)
-	if err := srv.Shutdown(dctx); err != nil {
+	if err := c.Shutdown(dctx); err != nil {
 		logger.Error("drain incomplete; journals stay resumable", "err", err)
 		os.Exit(1)
 	}
-	logger.Info("drained cleanly; incomplete jobs will resume on restart")
-}
-
-type coordArgs struct {
-	addr, state  string
-	instr        uint64
-	hbTimeout    time.Duration
-	leaseTimeout time.Duration
-	rate         float64
-	burst        int
-	maxActive    int
-	cacheCap     int
-	drain        time.Duration
-}
-
-// runCoordinator serves the cluster control plane: worker membership,
-// unit leasing, and journal merging over the persistent job store.
-func runCoordinator(logger *slog.Logger, a coordArgs) int {
-	c, err := cluster.NewCoordinator(cluster.Options{
-		StateDir:         a.state,
-		DefaultInstr:     a.instr,
-		HeartbeatTimeout: a.hbTimeout,
-		LeaseTimeout:     a.leaseTimeout,
-		Rate:             a.rate,
-		Burst:            a.burst,
-		MaxActive:        a.maxActive,
-		CacheCap:         a.cacheCap,
-		Logger:           logger,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "atrd:", err)
-		return 1
-	}
-	httpSrv := &http.Server{Addr: a.addr, Handler: c}
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	logger.Info("coordinating", "addr", a.addr, "state", a.state,
-		"heartbeat_timeout", a.hbTimeout.String(), "lease_timeout", a.leaseTimeout.String())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errCh:
-		fmt.Fprintln(os.Stderr, "atrd:", err)
-		return 1
-	case <-ctx.Done():
-	}
-
-	dctx, cancel := context.WithTimeout(context.Background(), a.drain)
-	defer cancel()
-	_ = httpSrv.Shutdown(dctx)
-	c.Close()
-	logger.Info("coordinator stopped; in-flight jobs resume from the job store on restart")
-	return 0
-}
-
-type workerArgs struct {
-	coordinator, name, addr string
-	simWorkers              int
-	retries                 int
-	backoff                 time.Duration
-	pollInterval            time.Duration
+	logger.Info("drained cleanly; unfinished jobs will resume on restart")
 }
 
 // runWorker joins the fleet: register, heartbeat, poll for unit leases,
 // execute them on the engine's per-unit path, upload records. The
 // worker's own HTTP surface is just /healthz and /metrics.
-func runWorker(logger *slog.Logger, a workerArgs) int {
-	if a.name == "" {
+func runWorker(logger *slog.Logger, opts server.WorkerOptions) int {
+	if opts.Name == "" {
 		host, err := os.Hostname()
 		if err != nil || host == "" {
 			fmt.Fprintln(os.Stderr, "atrd: -name required (hostname unavailable)")
 			return 2
 		}
-		a.name = host
+		opts.Name = host
 	}
-	w := cluster.NewWorker(cluster.WorkerOptions{
-		Coordinator:  a.coordinator,
-		Name:         a.name,
-		Addr:         a.addr,
-		SimWorkers:   a.simWorkers,
-		Retries:      a.retries,
-		Backoff:      a.backoff,
-		PollInterval: a.pollInterval,
-		Logger:       logger,
-	})
-	if a.addr != "" {
-		httpSrv := &http.Server{Addr: a.addr, Handler: w.Handler()}
+	w := server.NewWorker(opts)
+	if opts.Addr != "" {
+		httpSrv := &http.Server{Addr: opts.Addr, Handler: w.Handler()}
 		go func() {
 			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				logger.Error("worker http", "err", err)
@@ -300,7 +219,7 @@ func runWorker(logger *slog.Logger, a workerArgs) int {
 		}()
 		defer httpSrv.Close()
 	}
-	logger.Info("joined", "coordinator", a.coordinator, "name", a.name, "addr", a.addr)
+	logger.Info("joined", "coordinator", opts.Coordinator, "name", opts.Name, "addr", opts.Addr)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -9,9 +9,10 @@
 // doubles as an exposition conformance check: CI runs `atrtop -once`
 // against a live daemon and a malformed exposition fails the build.
 //
-// Pointed at a cluster coordinator (same flag, same scrape), the
-// atr_cluster_* families light up an extra fleet section: live workers,
-// lease traffic, steal-backs, duplicate uploads, and quota rejections.
+// Every daemon is a coordinator, so the fleet section — live workers
+// (the in-process one included), lease traffic, steal-backs, duplicate
+// uploads, and quota rejections — renders from the atr_cluster_* families
+// whenever they are present.
 //
 // Exit status: 0 success, 1 scrape/parse/lint failure, 2 usage error.
 package main
@@ -168,36 +169,25 @@ func render(w *os.File, base string, cur, prev *snapshot, history []float64) {
 		hitRate = 100 * hits / (hits + misses)
 	}
 	fmt.Fprintf(w, "runs     executed %.0f%s  from-cache %.0f  |  result cache %.1f%% hit (%.0f/%.0f lookups), %.0f/%.0f resident\n",
-		cur.runsExec, rate(cur, prev, cur.runsExec, prevRuns(prev)), cur.value("atr_runs_from_cache_total"),
+		cur.runsExec, rate(cur, prev, cur.runsExec, prevRuns(prev)), cur.value("atr_cluster_units_from_cache_total"),
 		hitRate, hits, hits+misses,
 		cur.value("atr_result_cache_size"), cur.value("atr_result_cache_capacity"))
-
-	if groups := cur.value("atr_batch_groups_total"); groups > 0 {
-		batched := cur.value("atr_runs_batched_total")
-		fmt.Fprintf(w, "lanes    batched %.0f runs in %.0f groups  |  occupancy %.1f lanes/group\n",
-			batched, groups, batched/groups)
-	}
 
 	fmt.Fprintf(w, "http     requests %.0f%s  |  limiter clients %.0f  rate-limited %.0f\n",
 		cur.httpReqs, rate(cur, prev, cur.httpReqs, prevHTTP(prev)),
 		cur.value("atr_rate_clients"), cur.value("atr_rate_limited_total"))
 
-	fmt.Fprintf(w, "runner   memo hits %.0f  evictions %.0f  resident %.0f  |  programs %.0f (hits %.0f)\n",
-		cur.value("atr_runner_memo_hits_total"), cur.value("atr_runner_memo_evictions_total"),
-		cur.value("atr_runner_memo_size"),
+	fmt.Fprintf(w, "runner   programs %.0f (hits %.0f)\n",
 		cur.value("atr_runner_programs_cached"), cur.value("atr_runner_program_hits_total"))
 
-	// A coordinator exposition carries the atr_cluster_* families; render
-	// the fleet line only then, so single-node dashboards are unchanged.
 	if _, isCluster := cur.fams["atr_cluster_workers"]; isCluster {
 		fmt.Fprintf(w, "cluster  workers %.0f (evicted %.0f)  jobs active %.0f  |  units pending %.0f  leased %.0f\n",
 			cur.value("atr_cluster_workers"), cur.value("atr_cluster_workers_evicted_total"),
 			cur.value("atr_cluster_jobs_active"),
 			cur.value("atr_cluster_units_pending"), cur.value("atr_cluster_units_leased"))
-		fmt.Fprintf(w, "         dispatched %.0f  uploaded %.0f  stolen %.0f  dup %.0f  from-cache %.0f  |  quota-429 %.0f\n",
-			cur.value("atr_cluster_units_dispatched_total"), cur.value("atr_cluster_units_uploaded_total"),
-			cur.value("atr_cluster_units_stolen_total"), cur.value("atr_cluster_duplicate_uploads_total"),
-			cur.value("atr_cluster_units_from_cache_total"), cur.value("atr_cluster_quota_rejected_total"))
+		fmt.Fprintf(w, "         dispatched %.0f  stolen %.0f  dup %.0f  |  quota-429 %.0f\n",
+			cur.value("atr_cluster_units_dispatched_total"), cur.value("atr_cluster_units_stolen_total"),
+			cur.value("atr_cluster_duplicate_uploads_total"), cur.value("atr_cluster_quota_rejected_total"))
 	}
 	fmt.Fprintln(w)
 

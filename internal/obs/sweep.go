@@ -161,6 +161,5 @@ type ServerInfo struct {
 	// fields are additive so existing atrctl clients keep parsing.
 	HTTPRequests   int `json:"http_requests"`          // all routes, all codes
 	LimiterClients int `json:"limiter_clients"`        // gauge: token buckets tracked
-	RunnerMemoHits int `json:"runner_memo_hits"`       // experiments.Runner memo cache
 	RunnerPrograms int `json:"runner_programs_cached"` // gauge: resident program images
 }

@@ -3,48 +3,34 @@ package server
 import (
 	"container/list"
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"atr/internal/sweep"
 	"atr/internal/telemetry"
 )
 
-// cacheShards is the lock-striping factor of RunCache. Run keys are
-// SHA-256 prefixes, so any power-of-two masking spreads them evenly.
-const cacheShards = 16
-
 // RunCache is the content-addressed result cache: completed run records
 // keyed by the sweep engine's SHA-256 run key plus the instruction budget
 // (the one run parameter the key does not cover). Identical runs submitted
-// by any client — inside any grid, on any node — are served from here
-// without re-simulating; because records are deterministic in (profile,
-// config, instr), a cached record is byte-for-byte the record a fresh
-// simulation would produce, so cache hits cannot perturb manifest identity.
+// by any client — inside any grid, executed by any worker — are served
+// from here without re-simulating; because records are deterministic in
+// (profile, config, instr), a cached record is byte-for-byte the record a
+// fresh simulation would produce, so cache hits cannot perturb manifest
+// identity.
 //
-// The cache is N-way lock-striped: each shard owns an independent mutex,
-// LRU list, and capacity slice, so concurrent lookups from different jobs
-// (or, on a coordinator, different workers' uploads) contend only when
-// they hash to the same shard. Hit/miss counters are the lock-free
-// telemetry instruments, recorded outside any shard lock. Exported so the
-// cluster coordinator reuses the exact dedup semantics of the single-node
-// daemon.
+// One mutex guards one LRU. The coordinator already calls Get and Put
+// under its own lock, so finer locking here could not add concurrency.
 type RunCache struct {
-	shards [cacheShards]cacheShard
-	cap    int
+	mu    sync.Mutex
+	cap   int
+	lru   *list.List // of string cache keys; front = most recent
+	byKey map[string]*cacheEntry
 
 	// hits/misses are registry instruments owned by the caller's telemetry
 	// registry; the cache records into them so lookups show up in /metrics
 	// without a second set of counters to keep in sync.
 	hits   *telemetry.Counter
 	misses *telemetry.Counter
-}
-
-type cacheShard struct {
-	mu    sync.Mutex
-	cap   int
-	lru   *list.List // of string cache keys; front = most recent
-	byKey map[string]*cacheEntry
 }
 
 type cacheEntry struct {
@@ -64,38 +50,27 @@ func NewRunCache(capacity int, hits, misses *telemetry.Counter) *RunCache {
 	if misses == nil {
 		misses = new(telemetry.Counter)
 	}
-	c := &RunCache{cap: capacity, hits: hits, misses: misses}
-	per := (capacity + cacheShards - 1) / cacheShards
-	for i := range c.shards {
-		c.shards[i] = cacheShard{cap: per, lru: list.New(), byKey: make(map[string]*cacheEntry)}
-	}
-	return c
+	return &RunCache{cap: capacity, lru: list.New(), byKey: make(map[string]*cacheEntry),
+		hits: hits, misses: misses}
 }
 
 func cacheKey(runKey string, instr uint64) string {
 	return fmt.Sprintf("%s@%d", runKey, instr)
 }
 
-func (c *RunCache) shard(k string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(k))
-	return &c.shards[h.Sum32()&(cacheShards-1)]
-}
-
 // Get returns the cached record for (runKey, instr), if any.
 func (c *RunCache) Get(runKey string, instr uint64) (sweep.Record, bool) {
 	k := cacheKey(runKey, instr)
-	s := c.shard(k)
-	s.mu.Lock()
-	e, ok := s.byKey[k]
+	c.mu.Lock()
+	e, ok := c.byKey[k]
 	if !ok {
-		s.mu.Unlock()
+		c.mu.Unlock()
 		c.misses.Inc()
 		return sweep.Record{}, false
 	}
-	s.lru.MoveToFront(e.elem)
+	c.lru.MoveToFront(e.elem)
 	rec := e.rec
-	s.mu.Unlock()
+	c.mu.Unlock()
 	c.hits.Inc()
 	return rec, true
 }
@@ -107,32 +82,27 @@ func (c *RunCache) Put(runKey string, instr uint64, rec sweep.Record) {
 		return
 	}
 	k := cacheKey(runKey, instr)
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.byKey[k]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.byKey[k]; ok {
 		e.rec = rec
-		s.lru.MoveToFront(e.elem)
+		c.lru.MoveToFront(e.elem)
 		return
 	}
 	e := &cacheEntry{rec: rec}
-	e.elem = s.lru.PushFront(k)
-	s.byKey[k] = e
-	for s.lru.Len() > s.cap {
-		back := s.lru.Back()
-		delete(s.byKey, back.Value.(string))
-		s.lru.Remove(back)
+	e.elem = c.lru.PushFront(k)
+	c.byKey[k] = e
+	for c.lru.Len() > c.cap {
+		back := c.lru.Back()
+		delete(c.byKey, back.Value.(string))
+		c.lru.Remove(back)
 	}
 }
 
-// Stats snapshots cache effectiveness counters. Size sums the shards;
-// capacity is the configured total.
+// Stats snapshots cache effectiveness counters.
 func (c *RunCache) Stats() (hits, misses, size, capacity int) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		size += s.lru.Len()
-		s.mu.Unlock()
-	}
+	c.mu.Lock()
+	size = c.lru.Len()
+	c.mu.Unlock()
 	return int(c.hits.Value()), int(c.misses.Value()), size, c.cap
 }

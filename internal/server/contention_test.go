@@ -9,13 +9,13 @@ import (
 	"atr/internal/sweep"
 )
 
-// BenchmarkServerContention hammers the server's two striped hot
-// structures — the content-addressed result cache and the rate-limiter
-// bucket map — from all available CPUs, the access pattern a coordinator
-// sees when N workers upload and M clients submit simultaneously. It
-// gates the lock-striping satellite: with a single mutex these paths
-// serialize, with 16-way striping they scale near-linearly until shards
-// collide.
+// BenchmarkServerContention hammers the service's two shared maps — the
+// content-addressed result cache and the rate-limiter bucket map — from
+// all available CPUs, the access pattern of many uploading workers and
+// submitting clients at once. Each map sits behind one mutex; on the
+// service path the cache is only ever touched under the coordinator's
+// lock anyway, so this is the ceiling finer locking would have to beat
+// before it could matter end to end.
 func BenchmarkServerContention(b *testing.B) {
 	const keys = 4096
 

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"atr/internal/checkpoint"
 	"atr/internal/config"
@@ -170,8 +167,9 @@ func parseSampleModes(specs []string) ([]string, error) {
 	return modes, nil
 }
 
-// Job states. queued → running → one of the terminal states; interrupted
-// is the shutdown parking state a restarted daemon re-queues from.
+// Job states. A job is queued until the first of its units is leased to a
+// worker, then running, then one of the terminal states; interrupted is the
+// shutdown parking state a restarted daemon resumes from.
 const (
 	StateQueued      = "queued"
 	StateRunning     = "running"
@@ -209,183 +207,4 @@ type Status struct {
 	Error       string            `json:"error,omitempty"`
 	Progress    obs.SweepProgress `json:"progress"`
 	SubmittedAt string            `json:"submitted_at,omitempty"`
-}
-
-// Job is one submitted unit of work.
-type Job struct {
-	ID          string
-	Spec        JobSpec
-	GridName    string
-	Total       int
-	SubmittedAt string
-
-	// enqueuedAt is when the job entered the pending queue; the server
-	// reads it after setRunning to observe queue wait. Written once before
-	// the job is visible to workers, so no lock is needed.
-	enqueuedAt time.Time
-
-	// onFinish, when non-nil, is called once inside the terminal state
-	// transition with the previous and final states. It runs under j.mu,
-	// so it must stay lock-light — the server installs a callback that
-	// only touches lock-free telemetry instruments.
-	onFinish func(prev, state string)
-
-	mu        sync.Mutex
-	state     string
-	err       string
-	progress  obs.SweepProgress
-	cancelled bool // client-requested (vs shutdown) cancellation
-	cancel    context.CancelFunc
-	subs      map[chan Event]struct{}
-	done      chan struct{}
-}
-
-func newJob(id string, spec JobSpec, gridName string, total int, submittedAt string) *Job {
-	return &Job{
-		ID: id, Spec: spec, GridName: gridName, Total: total,
-		SubmittedAt: submittedAt,
-		state:       StateQueued,
-		subs:        make(map[chan Event]struct{}),
-		done:        make(chan struct{}),
-	}
-}
-
-// Status snapshots the job for the API.
-func (j *Job) Status() Status {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return Status{
-		ID: j.ID, State: j.state, Spec: j.Spec, Grid: j.GridName,
-		Total: j.Total, Error: j.err, Progress: j.progress,
-		SubmittedAt: j.SubmittedAt,
-	}
-}
-
-// State returns the job's current state.
-func (j *Job) State() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
-// subscribe registers an event channel and returns it primed with a status
-// snapshot, plus an unsubscribe func. Events are dropped, never blocked on,
-// if the subscriber falls more than a buffer behind — except the terminal
-// status, which is delivered via the snapshot-on-subscribe + Done pattern.
-func (j *Job) subscribe() (<-chan Event, func()) {
-	ch := make(chan Event, 256)
-	j.mu.Lock()
-	ch <- Event{Type: "status", Job: j.ID, State: j.state, Error: j.err}
-	if terminal(j.state) {
-		close(ch)
-		j.mu.Unlock()
-		return ch, func() {}
-	}
-	j.subs[ch] = struct{}{}
-	j.mu.Unlock()
-	return ch, func() {
-		j.mu.Lock()
-		if _, ok := j.subs[ch]; ok {
-			delete(j.subs, ch)
-			close(ch)
-		}
-		j.mu.Unlock()
-	}
-}
-
-// publish fans a progress tick out to subscribers (engine-serialized).
-func (j *Job) publish(p obs.SweepProgress) {
-	j.mu.Lock()
-	j.progress = p
-	ev := Event{Type: "progress", Job: j.ID, Progress: &p}
-	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default: // slow watcher: drop the tick, the final status still arrives
-		}
-	}
-	j.mu.Unlock()
-}
-
-// setRunning transitions queued → running, installing the cancel func.
-// It returns false if the job is no longer runnable (cancelled while
-// queued).
-func (j *Job) setRunning(cancel context.CancelFunc) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return false
-	}
-	j.state = StateRunning
-	j.cancel = cancel
-	j.broadcastLocked(Event{Type: "status", Job: j.ID, State: j.state})
-	return true
-}
-
-// finish moves the job to a terminal state and wakes everything waiting.
-func (j *Job) finish(state, errMsg string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.finishLocked(state, errMsg)
-}
-
-func (j *Job) finishLocked(state, errMsg string) {
-	if terminal(j.state) {
-		return
-	}
-	prev := j.state
-	j.state = state
-	if j.onFinish != nil {
-		j.onFinish(prev, state)
-	}
-	j.err = errMsg
-	j.broadcastLocked(Event{Type: "status", Job: j.ID, State: state, Error: errMsg})
-	for ch := range j.subs {
-		delete(j.subs, ch)
-		close(ch)
-	}
-	close(j.done)
-}
-
-func (j *Job) broadcastLocked(ev Event) {
-	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
-}
-
-// requestCancel flags the job as client-cancelled and, if running, cancels
-// its context. A queued job is finished immediately (the worker's
-// setRunning then refuses it); a running one reaches the terminal state
-// when its engine returns. The queued-vs-running decision happens under
-// the same lock setRunning takes, so exactly one path applies.
-func (j *Job) requestCancel() {
-	j.mu.Lock()
-	if terminal(j.state) {
-		j.mu.Unlock()
-		return
-	}
-	j.cancelled = true
-	if j.state == StateQueued {
-		j.finishLocked(StateCancelled, "cancelled before start")
-		j.mu.Unlock()
-		return
-	}
-	cancel := j.cancel
-	j.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-}
-
-// wasCancelled reports whether a client asked for cancellation.
-func (j *Job) wasCancelled() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cancelled
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"hash/fnv"
 	"math"
 	"net"
 	"net/http"
@@ -9,33 +8,18 @@ import (
 	"time"
 )
 
-// limiterShards is the lock-striping factor of Limiter. Client keys are
-// short strings (header values or IPs); fnv-1a spreads them well enough
-// that hot clients on different shards never contend.
-const limiterShards = 16
-
-// limiterPrune is the per-shard bucket count beyond which idle buckets are
-// pruned (4096 total across the striped map, matching the pre-striping
-// limiter's bound).
-const limiterPrune = 4096 / limiterShards
+// limiterPrune is the bucket count beyond which idle buckets are pruned.
+const limiterPrune = 4096
 
 // Limiter is a per-client token-bucket rate limiter for job submissions.
 // Each client (X-ATR-Client header, else the remote IP) gets a bucket
 // refilled at rate tokens/sec up to burst; a submission costs one token.
 // When a bucket is dry the limiter reports how long until the next token,
 // which the handler surfaces as Retry-After on a 429.
-//
-// The bucket map is N-way lock-striped so concurrent submissions from
-// different clients contend only when their keys hash to the same shard.
-// Exported so the cluster coordinator layers per-tenant quotas on the same
-// admission mechanism the single-node daemon uses.
 type Limiter struct {
-	rate   float64 // tokens per second; <= 0 disables limiting
-	burst  float64
-	shards [limiterShards]limiterShard
-}
+	rate  float64 // tokens per second; <= 0 disables limiting
+	burst float64
 
-type limiterShard struct {
 	mu      sync.Mutex
 	buckets map[string]*bucket
 }
@@ -51,17 +35,11 @@ func NewLimiter(rate float64, burst int) *Limiter {
 	if burst < 1 {
 		burst = 1
 	}
-	l := &Limiter{rate: rate, burst: float64(burst)}
-	for i := range l.shards {
-		l.shards[i].buckets = make(map[string]*bucket)
-	}
-	return l
+	return &Limiter{rate: rate, burst: float64(burst), buckets: make(map[string]*bucket)}
 }
 
 // ClientKey identifies the caller for rate-limiting and quota purposes:
-// the X-ATR-Client header when present, else the remote IP. Exported so
-// the cluster coordinator attributes tenants exactly as the single-node
-// daemon attributes rate-limit clients.
+// the X-ATR-Client header when present, else the remote IP.
 func ClientKey(r *http.Request) string {
 	if c := r.Header.Get("X-ATR-Client"); c != "" {
 		return c
@@ -73,12 +51,6 @@ func ClientKey(r *http.Request) string {
 	return host
 }
 
-func (l *Limiter) shard(key string) *limiterShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &l.shards[h.Sum32()&(limiterShards-1)]
-}
-
 // Allow consumes one token from key's bucket. When refused it returns the
 // wait until a token is available, rounded up to whole seconds for the
 // Retry-After header.
@@ -86,14 +58,13 @@ func (l *Limiter) Allow(key string, now time.Time) (ok bool, retryAfter time.Dur
 	if l.rate <= 0 {
 		return true, 0
 	}
-	s := l.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, found := s.buckets[key]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	b, found := l.buckets[key]
 	if !found {
 		b = &bucket{tokens: l.burst, last: now}
-		s.buckets[key] = b
-		l.pruneLocked(s, now)
+		l.buckets[key] = b
+		l.pruneLocked(now)
 	}
 	b.tokens = math.Min(l.burst, b.tokens+now.Sub(b.last).Seconds()*l.rate)
 	b.last = now
@@ -116,26 +87,23 @@ func (l *Limiter) Allow(key string, now time.Time) (ok bool, retryAfter time.Dur
 // It is a monitoring read (the atr_rate_clients gauge), not a
 // synchronization point.
 func (l *Limiter) Clients() int {
-	n := 0
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		n += len(s.buckets)
-		s.mu.Unlock()
-	}
-	return n
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.buckets)
 }
 
-// pruneLocked drops buckets in s that have been idle long enough to be
-// full again (they carry no information), bounding the map against client
-// churn. Caller holds s.mu.
-func (l *Limiter) pruneLocked(s *limiterShard, now time.Time) {
-	if len(s.buckets) < limiterPrune {
+// pruneLocked drops buckets that have been idle long enough to be full
+// again (they carry no information), bounding the map against client
+// churn. It scans only when an insertion brings the map to a multiple of
+// limiterPrune, so the scan costs O(1) per new client amortized. Caller
+// holds l.mu.
+func (l *Limiter) pruneLocked(now time.Time) {
+	if len(l.buckets)%limiterPrune != 0 {
 		return
 	}
-	for k, b := range s.buckets {
+	for k, b := range l.buckets {
 		if now.Sub(b.last).Seconds()*l.rate >= l.burst {
-			delete(s.buckets, k)
+			delete(l.buckets, k)
 		}
 	}
 }

@@ -19,41 +19,49 @@ import (
 	"atr/internal/sweep"
 )
 
-// testOptions returns daemon options tuned for tests: small pools, rate
-// limiting off (individual tests opt back in).
+// testOptions returns options for a plain atrd: a coordinator with a
+// two-slot in-process worker and rate limiting off (individual tests opt
+// back in).
 func testOptions(t *testing.T) Options {
 	t.Helper()
 	return Options{
 		StateDir:     t.TempDir(),
 		DefaultInstr: 1000,
 		SimWorkers:   2,
-		JobWorkers:   2,
 		QueueDepth:   16,
 		Rate:         -1,
 	}
 }
 
-func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, opts Options) (*Coordinator, *httptest.Server) {
 	t.Helper()
-	s, err := New(opts)
+	c, err := NewCoordinator(opts)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewCoordinator: %v", err)
 	}
-	hs := httptest.NewServer(s)
+	hs := httptest.NewServer(c)
 	t.Cleanup(func() {
 		hs.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		_ = s.Shutdown(ctx)
+		_ = c.Shutdown(ctx)
 	})
-	return s, hs
+	return c, hs
+}
+
+// setBeforeRun swaps the local-slot test hook under the lock the slots
+// read it with.
+func setBeforeRun(c *Coordinator, fn func(jobID string)) {
+	c.mu.Lock()
+	c.beforeRun = fn
+	c.mu.Unlock()
 }
 
 // offlineManifest renders the reference bytes for g exactly as atrsweep
 // -out would: an engine run plus Manifest.Encode.
-func offlineManifest(t *testing.T, g sweep.Grid) []byte {
+func offlineManifest(t *testing.T, g sweep.Grid, injectPanic int) []byte {
 	t.Helper()
-	eng := sweep.New(sweep.Options{Workers: 4})
+	eng := sweep.New(sweep.Options{Workers: 4, InjectPanic: injectPanic})
 	m, err := eng.Execute(context.Background(), g, nil)
 	if err != nil {
 		t.Fatalf("offline sweep: %v", err)
@@ -97,21 +105,34 @@ func trySubmit(t *testing.T, base string, spec JobSpec, clientID string) (id str
 	return st.ID, resp.StatusCode, string(raw)
 }
 
-// waitJob blocks until the job is terminal, failing on timeout.
-func waitJob(t *testing.T, s *Server, id string, want string) {
+// waitState blocks until the job reaches want, failing if it reaches a
+// different terminal state first or the wait times out.
+func waitState(t *testing.T, c *Coordinator, id, want string) Status {
 	t.Helper()
-	j, ok := s.Job(id)
-	if !ok {
-		t.Fatalf("job %s not found", id)
-	}
-	select {
-	case <-j.Done():
-	case <-time.After(120 * time.Second):
-		t.Fatalf("job %s did not finish (state %s)", id, j.State())
-	}
-	if got := j.State(); got != want {
-		st := j.Status()
-		t.Fatalf("job %s state = %s (err %q), want %s", id, got, st.Error, want)
+	timeout := time.After(120 * time.Second)
+	for {
+		c.mu.Lock()
+		j, ok := c.jobs[id]
+		var st Status
+		var changed <-chan struct{}
+		if ok {
+			st, changed = j.status(), j.changed
+		}
+		c.mu.Unlock()
+		if !ok {
+			t.Fatalf("job %s not found", id)
+		}
+		if st.State == want {
+			return st
+		}
+		if terminal(st.State) {
+			t.Fatalf("job %s state = %s (err %q), want %s", id, st.State, st.Error, want)
+		}
+		select {
+		case <-changed:
+		case <-timeout:
+			t.Fatalf("job %s stuck in %s (progress %+v), want %s", id, st.State, st.Progress, want)
+		}
 	}
 }
 
@@ -129,24 +150,9 @@ func fetchManifest(t *testing.T, base, id string) []byte {
 	return b
 }
 
-// TestServedManifestMatchesOffline is the subsystem's correctness
-// contract: the bytes served for a grid equal the bytes offline atrsweep
-// produces for the same grid.
-func TestServedManifestMatchesOffline(t *testing.T) {
-	s, hs := newTestServer(t, testOptions(t))
-	spec := JobSpec{Kind: "grid", Grid: "micro", Instr: 1200}
-	id := submitJob(t, hs.URL, spec)
-	waitJob(t, s, id, StateDone)
-
-	served := fetchManifest(t, hs.URL, id)
-	offline := offlineManifest(t, sweep.MicroGrid(1200))
-	if !bytes.Equal(served, offline) {
-		t.Fatalf("served manifest (%d bytes) differs from offline (%d bytes)", len(served), len(offline))
-	}
-
-	// The perf artifact carries provenance that must stay out of the
-	// result manifest.
-	resp, err := http.Get(hs.URL + "/v1/jobs/" + id + "/perf")
+func fetchPerf(t *testing.T, base, id string) obs.PerfManifest {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/perf")
 	if err != nil {
 		t.Fatalf("fetch perf: %v", err)
 	}
@@ -155,11 +161,35 @@ func TestServedManifestMatchesOffline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode perf manifest: %v", err)
 	}
+	return pm
+}
+
+// TestServedManifestMatchesOffline is the service's correctness contract:
+// the bytes served for a grid equal the bytes offline atrsweep produces
+// for the same grid.
+func TestServedManifestMatchesOffline(t *testing.T) {
+	c, hs := newTestServer(t, testOptions(t))
+	spec := JobSpec{Kind: "grid", Grid: "micro", Instr: 1200}
+	id := submitJob(t, hs.URL, spec)
+	waitState(t, c, id, StateDone)
+
+	served := fetchManifest(t, hs.URL, id)
+	offline := offlineManifest(t, sweep.MicroGrid(1200), 0)
+	if !bytes.Equal(served, offline) {
+		t.Fatalf("served manifest (%d bytes) differs from offline (%d bytes)", len(served), len(offline))
+	}
+
+	// The perf artifact carries provenance that must stay out of the
+	// result manifest.
+	pm := fetchPerf(t, hs.URL, id)
 	if pm.Sweep.JobID != id {
 		t.Errorf("perf JobID = %q, want %q", pm.Sweep.JobID, id)
 	}
 	if pm.Sweep.Host == "" || pm.Sweep.StartedAt == "" || pm.Sweep.FinishedAt == "" {
 		t.Errorf("perf provenance incomplete: %+v", pm.Sweep)
+	}
+	if pm.Sweep.Done != 24 || pm.Sweep.Total != 24 {
+		t.Errorf("perf counts %d/%d, want 24/24", pm.Sweep.Done, pm.Sweep.Total)
 	}
 	if bytes.Contains(served, []byte(pm.Sweep.StartedAt)) {
 		t.Errorf("wall-clock provenance leaked into the deterministic manifest")
@@ -168,9 +198,9 @@ func TestServedManifestMatchesOffline(t *testing.T) {
 
 // TestSingleRunJob exercises the Kind "run" path end to end.
 func TestSingleRunJob(t *testing.T) {
-	s, hs := newTestServer(t, testOptions(t))
+	c, hs := newTestServer(t, testOptions(t))
 	id := submitJob(t, hs.URL, JobSpec{Kind: "run", Bench: "gcc", Scheme: "atomic", Regs: 96, Instr: 1500})
-	waitJob(t, s, id, StateDone)
+	waitState(t, c, id, StateDone)
 	m, err := sweep.DecodeManifest(bytes.NewReader(fetchManifest(t, hs.URL, id)))
 	if err != nil {
 		t.Fatalf("decode served manifest: %v", err)
@@ -183,27 +213,92 @@ func TestSingleRunJob(t *testing.T) {
 	}
 }
 
+// TestLocalWorkerNoClusterTraffic pins what plain atrd is: a coordinator
+// whose only worker runs in-process. A grid completes with not one request
+// on the worker API, and the fleet view lists exactly that worker.
+func TestLocalWorkerNoClusterTraffic(t *testing.T) {
+	c, hs := newTestServer(t, testOptions(t))
+	id := submitJob(t, hs.URL, JobSpec{Kind: "grid", Grid: "micro", Instr: 900})
+	waitState(t, c, id, StateDone)
+	if !bytes.Equal(fetchManifest(t, hs.URL, id), offlineManifest(t, sweep.MicroGrid(900), 0)) {
+		t.Fatal("manifest differs from offline")
+	}
+
+	fams := scrapeText(t, hs.URL)
+	for _, s := range fams["atr_http_requests_total"].Samples {
+		switch s.Labels["route"] {
+		case "register", "heartbeat", "poll", "results":
+			if s.Value != 0 {
+				t.Errorf("%v worker-API requests on route %s, want 0", s.Value, s.Labels["route"])
+			}
+		}
+	}
+
+	resp, err := http.Get(hs.URL + "/cluster/v1/workers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var fleet obs.ClusterInfo
+	if err := json.NewDecoder(resp.Body).Decode(&fleet); err != nil {
+		t.Fatal(err)
+	}
+	if len(fleet.Workers) != 1 || fleet.Workers[0].ID != localWorker || fleet.Workers[0].SimWorkers != 2 {
+		t.Fatalf("fleet = %+v, want exactly the two-slot in-process worker", fleet.Workers)
+	}
+	if w := fleet.Workers[0]; w.Done != 24 || w.Leased != 0 {
+		t.Errorf("in-process worker done=%d leased=%d, want 24/0", w.Done, w.Leased)
+	}
+}
+
+// TestLocalLeaseNeverExpires holds an in-process unit far past the lease
+// and heartbeat timeouts: the in-process worker neither heartbeats nor
+// loses leases, so the unit is neither stolen nor executed twice.
+func TestLocalLeaseNeverExpires(t *testing.T) {
+	opts := testOptions(t)
+	opts.SimWorkers = 1
+	opts.LeaseTimeout = 40 * time.Millisecond
+	opts.HeartbeatTimeout = 40 * time.Millisecond
+	c, hs := newTestServer(t, opts)
+	setBeforeRun(c, func(string) { time.Sleep(10 * opts.LeaseTimeout) })
+
+	id := submitJob(t, hs.URL, JobSpec{Kind: "run", Bench: "mcf", Instr: 800})
+	waitState(t, c, id, StateDone)
+	if got := c.tm.unitsStolen.Value(); got != 0 {
+		t.Errorf("units stolen = %d, want 0", got)
+	}
+	if got := c.tm.workersEvicted.Value(); got != 0 {
+		t.Errorf("workers evicted = %d, want 0", got)
+	}
+	if got, dup := c.tm.runsExecuted.Value(), c.tm.dupUploads.Value(); got != 1 || dup != 0 {
+		t.Errorf("runs executed = %d, duplicates = %d, want 1/0", got, dup)
+	}
+	if n := len(c.Fleet().Workers); n != 1 {
+		t.Errorf("fleet size %d, want the in-process worker", n)
+	}
+}
+
 // TestKillRestartResumeParity is the acceptance bar for graceful shutdown:
 // a daemon stopped mid-grid leaves a journal; a new daemon over the same
 // state dir resumes the job and serves a manifest byte-identical to an
 // uninterrupted offline sweep of the same grid.
 func TestKillRestartResumeParity(t *testing.T) {
 	opts := testOptions(t)
-	s1, err := New(opts)
+	c1, err := NewCoordinator(opts)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewCoordinator: %v", err)
 	}
-	hs1 := httptest.NewServer(s1)
+	hs1 := httptest.NewServer(c1)
 
 	const instr = 400
-	spec := JobSpec{Kind: "grid", Grid: "fig10", Instr: instr}
-	id := submitJob(t, hs1.URL, spec)
+	id := submitJob(t, hs1.URL, JobSpec{Kind: "grid", Grid: "fig10", Instr: instr})
 
 	// Let the grid get genuinely mid-flight, then drain the daemon.
-	j, _ := s1.Job(id)
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		st := j.Status()
+		c1.mu.Lock()
+		st := c1.jobs[id].status()
+		c1.mu.Unlock()
 		if st.Progress.Done >= 10 {
 			break
 		}
@@ -218,12 +313,10 @@ func TestKillRestartResumeParity(t *testing.T) {
 	hs1.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := s1.Shutdown(ctx); err != nil {
+	if err := c1.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	if st := j.State(); st != StateInterrupted {
-		t.Fatalf("job state after shutdown = %s, want %s", st, StateInterrupted)
-	}
+	waitState(t, c1, id, StateInterrupted)
 
 	// The journal on disk is a valid, partial account of the sweep.
 	jf, err := os.Open(filepath.Join(opts.StateDir, "jobs", id, "journal.jsonl"))
@@ -239,62 +332,49 @@ func TestKillRestartResumeParity(t *testing.T) {
 		t.Fatalf("journal has %d/%d records, want a strict mid-grid prefix", len(journal.Records), journal.Total)
 	}
 
-	// Restart: same state dir, fresh daemon. The job must re-queue,
-	// resume from the journal, and finish.
-	s2, hs2 := newTestServer(t, opts)
-	if got := s2.Metrics().JobsRecovered; got != 1 {
+	// Restart: same state dir, fresh daemon. The job must resume from the
+	// journal and finish.
+	c2, hs2 := newTestServer(t, opts)
+	if got := c2.Metrics().JobsRecovered; got != 1 {
 		t.Fatalf("JobsRecovered = %d, want 1", got)
 	}
-	waitJob(t, s2, id, StateDone)
+	waitState(t, c2, id, StateDone)
 
 	served := fetchManifest(t, hs2.URL, id)
-	offline := offlineManifest(t, sweep.Fig10Grid(instr))
-	if !bytes.Equal(served, offline) {
-		t.Fatalf("resumed manifest differs from offline (served %d bytes, offline %d)", len(served), len(offline))
+	if !bytes.Equal(served, offlineManifest(t, sweep.Fig10Grid(instr), 0)) {
+		t.Fatalf("resumed manifest differs from offline (served %d bytes)", len(served))
 	}
 
 	// And the resume actually reused the journaled prefix.
-	resp, err := http.Get(hs2.URL + "/v1/jobs/" + id + "/perf")
-	if err != nil {
-		t.Fatalf("fetch perf: %v", err)
-	}
-	defer resp.Body.Close()
-	pm, err := obs.DecodePerfManifest(resp.Body)
-	if err != nil {
-		t.Fatalf("decode perf: %v", err)
-	}
-	if pm.Sweep.Resumed < len(journal.Records) {
+	if pm := fetchPerf(t, hs2.URL, id); pm.Sweep.Resumed < len(journal.Records) {
 		t.Errorf("resumed %d runs, want >= %d (the journaled prefix)", pm.Sweep.Resumed, len(journal.Records))
 	}
 }
 
 // TestConcurrentJobsIsolationAndCache is the serving-scale acceptance
-// check: >= 8 jobs held in flight simultaneously (mixed single-run and
-// grid), each producing its correct isolated manifest; duplicate
-// submissions served from the content-addressed cache without
-// re-simulating; clean graceful shutdown at the end (via the test
-// cleanup).
+// check: eight jobs (mixed single-run and grid) admitted and live at once
+// while every in-process slot holds a unit, each producing its correct
+// isolated manifest; duplicate submissions served from the
+// content-addressed cache without re-simulating.
 func TestConcurrentJobsIsolationAndCache(t *testing.T) {
 	opts := testOptions(t)
-	opts.JobWorkers = 8
+	opts.SimWorkers = 8
 	opts.QueueDepth = 32
-	s, hs := newTestServer(t, opts)
+	c, hs := newTestServer(t, opts)
 
-	// Barrier: all 8 jobs must be running at once before any proceeds.
 	const fleet = 8
 	var mu sync.Mutex
-	running := 0
-	release := make(chan struct{})
+	held := 0
 	allIn := make(chan struct{})
-	s.beforeRun = func(*Job) {
+	release := make(chan struct{})
+	setBeforeRun(c, func(string) {
 		mu.Lock()
-		running++
-		if running == fleet {
+		if held++; held == fleet {
 			close(allIn)
 		}
 		mu.Unlock()
 		<-release
-	}
+	})
 
 	benches := []string{"gcc", "mcf", "leela", "xz"}
 	var ids []string
@@ -313,15 +393,15 @@ func TestConcurrentJobsIsolationAndCache(t *testing.T) {
 	select {
 	case <-allIn:
 	case <-time.After(60 * time.Second):
-		mu.Lock()
-		n := running
-		mu.Unlock()
-		t.Fatalf("only %d/%d jobs in flight simultaneously", n, fleet)
+		t.Fatalf("in-process slots never all held a unit")
 	}
+	if m := c.Metrics(); m.JobsQueued+m.JobsRunning != fleet || m.JobsRunning < 5 {
+		t.Fatalf("queued %d + running %d, want %d live with >= 5 running", m.JobsQueued, m.JobsRunning, fleet)
+	}
+	setBeforeRun(c, nil)
 	close(release)
-	s.beforeRun = nil
 	for _, id := range ids {
-		waitJob(t, s, id, StateDone)
+		waitState(t, c, id, StateDone)
 	}
 
 	// Per-job isolation: every manifest matches its own offline
@@ -331,24 +411,23 @@ func TestConcurrentJobsIsolationAndCache(t *testing.T) {
 		if err != nil {
 			t.Fatalf("grid: %v", err)
 		}
-		if !bytes.Equal(fetchManifest(t, hs.URL, id), offlineManifest(t, g)) {
+		if !bytes.Equal(fetchManifest(t, hs.URL, id), offlineManifest(t, g, 0)) {
 			t.Errorf("job %s (spec %d) manifest differs from offline reference", id, i)
 		}
 	}
 
 	// Duplicate submission: every unit is already cached, so the job
 	// completes without executing a single new simulation.
-	before := s.Metrics()
+	before := c.Metrics()
 	dup := submitJob(t, hs.URL, specs[4])
-	waitJob(t, s, dup, StateDone)
-	after := s.Metrics()
+	waitState(t, c, dup, StateDone)
+	after := c.Metrics()
 	if after.RunsExecuted != before.RunsExecuted {
 		t.Errorf("duplicate submission executed %d new runs, want 0", after.RunsExecuted-before.RunsExecuted)
 	}
 	g4, _ := specs[4].ResolveGrid(opts.DefaultInstr)
-	wantUnits := len(g4.Units())
-	if got := after.RunsFromCache - before.RunsFromCache; got != wantUnits {
-		t.Errorf("duplicate served %d runs from cache, want %d", got, wantUnits)
+	if got, want := after.RunsFromCache-before.RunsFromCache, len(g4.Units()); got != want {
+		t.Errorf("duplicate served %d runs from cache, want %d", got, want)
 	}
 	if after.CacheHits <= before.CacheHits {
 		t.Errorf("cache hits did not increase on duplicate submission")
@@ -359,12 +438,11 @@ func TestConcurrentJobsIsolationAndCache(t *testing.T) {
 }
 
 // TestClientDisconnectCancelsEphemeralJob pins the cancellation path: an
-// ephemeral job's watcher disconnecting mid-stream cancels the job
-// context, in-flight runs stop promptly, and the journal left behind
-// resumes to the uninterrupted manifest.
+// ephemeral job's watcher disconnecting mid-stream cancels the job, and
+// the journal left behind resumes to the uninterrupted manifest.
 func TestClientDisconnectCancelsEphemeralJob(t *testing.T) {
 	opts := testOptions(t)
-	s, hs := newTestServer(t, opts)
+	c, hs := newTestServer(t, opts)
 
 	spec := JobSpec{
 		Kind:      "grid",
@@ -412,19 +490,7 @@ func TestClientDisconnectCancelsEphemeralJob(t *testing.T) {
 		}
 	}
 	cancel() // client disconnect
-
-	j, ok := s.Job(id)
-	if !ok {
-		t.Fatalf("job %s not found", id)
-	}
-	select {
-	case <-j.Done():
-	case <-time.After(30 * time.Second):
-		t.Fatalf("job still %s 30s after client disconnect", j.State())
-	}
-	if st := j.State(); st != StateCancelled {
-		t.Fatalf("job state = %s, want %s", st, StateCancelled)
-	}
+	waitState(t, c, id, StateCancelled)
 
 	// The journal is a resumable partial account: an offline engine
 	// resuming from it reproduces the uninterrupted manifest.
@@ -453,7 +519,7 @@ func TestClientDisconnectCancelsEphemeralJob(t *testing.T) {
 	if err := m.Encode(&buf); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), offlineManifest(t, g)) {
+	if !bytes.Equal(buf.Bytes(), offlineManifest(t, g, 0)) {
 		t.Errorf("journal-resumed manifest differs from uninterrupted offline run")
 	}
 	if eng.Info().Resumed < len(journal.Records) {
@@ -461,21 +527,25 @@ func TestClientDisconnectCancelsEphemeralJob(t *testing.T) {
 	}
 }
 
-// TestQueueBackpressure pins the bounded-queue contract: with one worker
-// held and the queue full, the next submission is refused with 429 and a
-// Retry-After header, and succeeds once capacity frees up.
+// TestQueueBackpressure pins the bounded-queue contract: with the one
+// in-process slot held and the queue full, the next submission is refused
+// with 429 and a Retry-After header, and succeeds once capacity frees up.
+// A job counts as queued until its first unit is leased.
 func TestQueueBackpressure(t *testing.T) {
 	opts := testOptions(t)
-	opts.JobWorkers = 1
+	opts.SimWorkers = 1
 	opts.QueueDepth = 1
-	s, hs := newTestServer(t, opts)
+	c, hs := newTestServer(t, opts)
 
-	started := make(chan struct{}, 4)
+	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	s.beforeRun = func(*Job) {
-		started <- struct{}{}
+	setBeforeRun(c, func(string) {
+		select {
+		case started <- struct{}{}:
+		default:
+		}
 		<-release
-	}
+	})
 
 	first := submitJob(t, hs.URL, JobSpec{Kind: "grid", Grid: "micro", Instr: 600})
 	select {
@@ -502,13 +572,13 @@ func TestQueueBackpressure(t *testing.T) {
 		t.Errorf("unexpected 429 body: %s", body)
 	}
 
+	setBeforeRun(c, nil)
 	close(release)
-	s.setBeforeRun(nil)
-	waitJob(t, s, first, StateDone)
-	waitJob(t, s, second, StateDone)
+	waitState(t, c, first, StateDone)
+	waitState(t, c, second, StateDone)
 	third := submitJob(t, hs.URL, JobSpec{Kind: "grid", Grid: "micro", Instr: 800})
-	waitJob(t, s, third, StateDone)
-	if got := s.Metrics().JobsDone; got != 3 {
+	waitState(t, c, third, StateDone)
+	if got := c.Metrics().JobsDone; got != 3 {
 		t.Errorf("JobsDone = %d, want 3", got)
 	}
 }
@@ -519,7 +589,7 @@ func TestRateLimit429(t *testing.T) {
 	opts := testOptions(t)
 	opts.Rate = 0.5
 	opts.Burst = 1
-	s, hs := newTestServer(t, opts)
+	c, hs := newTestServer(t, opts)
 
 	id, code, _ := trySubmit(t, hs.URL, JobSpec{Kind: "run", Bench: "gcc", Instr: 800}, "alice")
 	if code != http.StatusAccepted {
@@ -533,11 +603,11 @@ func TestRateLimit429(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("other client: status %d, want 202", code)
 	}
-	if got := s.Metrics().RateLimited; got != 1 {
+	if got := c.Metrics().RateLimited; got != 1 {
 		t.Errorf("RateLimited = %d, want 1", got)
 	}
-	waitJob(t, s, id, StateDone)
-	waitJob(t, s, id2, StateDone)
+	waitState(t, c, id, StateDone)
+	waitState(t, c, id2, StateDone)
 }
 
 // TestBadSpecRejected covers admission validation.

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
@@ -59,10 +58,12 @@ func famValue(t *testing.T, fams map[string]telemetry.Family, name string) float
 }
 
 // TestMetricsContentNegotiation pins the /metrics dual contract: Prometheus
-// text by default, the legacy JSON ServerInfo when the client accepts JSON
-// (that is what atrctl sends, and what CI's cache-hit grep depends on).
+// text by default, the JSON ServerInfo when the client accepts JSON (that
+// is what atrctl sends, and what CI's cache-hit grep depends on). The one
+// registry carries one family per quantity: the names the service folded
+// away must stay gone.
 func TestMetricsContentNegotiation(t *testing.T) {
-	s, hs := newTestServer(t, testOptions(t))
+	c, hs := newTestServer(t, testOptions(t))
 
 	fams := scrapeText(t, hs.URL)
 	for _, want := range []string{
@@ -72,9 +73,19 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		"atr_http_request_duration_seconds", "atr_queue_wait_seconds",
 		"atr_run_duration_seconds", "atr_build_info", "atr_uptime_seconds",
 		"atr_rate_clients", "atr_runner_programs_cached",
+		"atr_cluster_units_from_cache_total", "atr_cluster_workers",
 	} {
 		if _, ok := fams[want]; !ok {
 			t.Errorf("exposition missing family %s", want)
+		}
+	}
+	for _, gone := range []string{
+		"atr_runs_from_cache_total", "atr_cluster_units_uploaded_total",
+		"atr_cluster_jobs_submitted_total", "atr_cluster_jobs_done_total",
+		"atr_runs_batched_total", "atr_batch_groups_total", "atr_runner_memo_hits_total",
+	} {
+		if _, ok := fams[gone]; ok {
+			t.Errorf("exposition still carries duplicate or always-zero family %s", gone)
 		}
 	}
 
@@ -92,8 +103,8 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		t.Fatalf("decode ServerInfo: %v", err)
 	}
-	if info.QueueCap != s.opts.QueueDepth {
-		t.Errorf("ServerInfo.QueueCap = %d, want %d", info.QueueCap, s.opts.QueueDepth)
+	if info.QueueCap != c.opts.QueueDepth {
+		t.Errorf("ServerInfo.QueueCap = %d, want %d", info.QueueCap, c.opts.QueueDepth)
 	}
 }
 
@@ -101,11 +112,11 @@ func TestMetricsContentNegotiation(t *testing.T) {
 // the counters that must move, move monotonically, and that the JSON view
 // agrees with the Prometheus view (one instrument set, two renderings).
 func TestExpositionCountersMonotonic(t *testing.T) {
-	s, hs := newTestServer(t, testOptions(t))
+	c, hs := newTestServer(t, testOptions(t))
 	before := scrapeText(t, hs.URL)
 
 	id := submitJob(t, hs.URL, JobSpec{Kind: "run", Bench: "gcc", Instr: 800})
-	waitJob(t, s, id, StateDone)
+	waitState(t, c, id, StateDone)
 
 	after := scrapeText(t, hs.URL)
 	for _, name := range []string{
@@ -120,8 +131,8 @@ func TestExpositionCountersMonotonic(t *testing.T) {
 	if got := famValue(t, after, "atr_runs_executed_total"); got != 1 {
 		t.Errorf("atr_runs_executed_total = %v, want 1", got)
 	}
-	if got := famValue(t, after, "atr_jobs_done_total"); float64(s.Metrics().JobsDone) != got {
-		t.Errorf("JSON JobsDone %d disagrees with exposition %v", s.Metrics().JobsDone, got)
+	if got := famValue(t, after, "atr_jobs_done_total"); float64(c.Metrics().JobsDone) != got {
+		t.Errorf("JSON JobsDone %d disagrees with exposition %v", c.Metrics().JobsDone, got)
 	}
 
 	// The run-duration histogram observed exactly the executed run.
@@ -138,11 +149,11 @@ func TestExpositionCountersMonotonic(t *testing.T) {
 }
 
 // gaugesZero asserts the queue-depth and running gauges both read zero —
-// the drift invariant every terminal path must restore.
-func gaugesZero(t *testing.T, s *Server, when string) {
+// the drift invariant every terminal path must restore. Both change only
+// inside the coordinator's lock, at the transitions themselves.
+func gaugesZero(t *testing.T, c *Coordinator, when string) {
 	t.Helper()
-	m := s.Metrics()
-	if m.JobsQueued != 0 || m.JobsRunning != 0 {
+	if m := c.Metrics(); m.JobsQueued != 0 || m.JobsRunning != 0 {
 		t.Errorf("%s: jobs_queued=%d jobs_running=%d, want 0/0", when, m.JobsQueued, m.JobsRunning)
 	}
 }
@@ -152,55 +163,51 @@ func gaugesZero(t *testing.T, s *Server, when string) {
 // zero and the cancel counter reflects both.
 func TestGaugeDriftCancel(t *testing.T) {
 	opts := testOptions(t)
-	opts.JobWorkers = 1
-	s, err := New(opts)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	opts.SimWorkers = 1
+	c, hs := newTestServer(t, opts)
 
 	hold := make(chan struct{})
-	started := make(chan *Job, 1)
-	s.beforeRun = func(j *Job) {
-		started <- j
+	started := make(chan string, 1)
+	setBeforeRun(c, func(id string) {
+		started <- id
 		<-hold
-	}
-	hs := newHTTPServer(t, s)
+	})
 
-	// First job occupies the single worker; second waits in the queue.
+	// The first job's unit occupies the single slot; the second waits.
 	running := submitJob(t, hs.URL, JobSpec{Kind: "run", Bench: "gcc", Instr: 800})
 	<-started
 	queued := submitJob(t, hs.URL, JobSpec{Kind: "run", Bench: "mcf", Instr: 800})
 
-	if m := s.Metrics(); m.JobsRunning != 1 || m.JobsQueued != 1 {
+	if m := c.Metrics(); m.JobsRunning != 1 || m.JobsQueued != 1 {
 		t.Fatalf("mid-flight: running=%d queued=%d, want 1/1", m.JobsRunning, m.JobsQueued)
 	}
 
 	cancelJob(t, hs.URL, queued)  // cancelled while queued
 	cancelJob(t, hs.URL, running) // cancelled while running
+	setBeforeRun(c, nil)
 	close(hold)
 
-	waitJob(t, s, running, StateCancelled)
-	waitJob(t, s, queued, StateCancelled)
-	waitGaugesZero(t, s)
-	if got := s.Metrics().JobsCancelled; got != 2 {
+	waitState(t, c, running, StateCancelled)
+	waitState(t, c, queued, StateCancelled)
+	gaugesZero(t, c, "after cancel")
+	if got := c.Metrics().JobsCancelled; got != 2 {
 		t.Errorf("JobsCancelled = %d, want 2", got)
 	}
 }
 
 // TestGaugeDriftInjectedPanic submits a job whose only run panics on every
-// attempt. The engine converts the panics to a recorded failure, the job
+// attempt. The worker converts the panics to a recorded failure, the job
 // still completes, and — the point here — the gauges return to zero.
 func TestGaugeDriftInjectedPanic(t *testing.T) {
-	s, hs := newTestServer(t, testOptions(t))
+	c, hs := newTestServer(t, testOptions(t))
 	id := submitJob(t, hs.URL, JobSpec{Kind: "run", Bench: "gcc", Instr: 800, InjectPanic: 1})
-	waitJob(t, s, id, StateDone)
-	waitGaugesZero(t, s)
+	st := waitState(t, c, id, StateDone)
+	gaugesZero(t, c, "after injected panic")
 
-	j, _ := s.Job(id)
-	if p := j.Status().Progress; p.Failed != 1 {
-		t.Errorf("injected panic: Failed = %d, want 1", p.Failed)
+	if st.Progress.Failed != 1 {
+		t.Errorf("injected panic: Failed = %d, want 1", st.Progress.Failed)
 	}
-	m := s.Metrics()
+	m := c.Metrics()
 	if m.JobsDone != 1 || m.JobsFailed != 0 {
 		t.Errorf("done=%d failed=%d, want job done (run-level failure only)", m.JobsDone, m.JobsFailed)
 	}
@@ -212,23 +219,13 @@ func TestGaugeDriftInjectedPanic(t *testing.T) {
 // zero after the recovered job resumes and finishes.
 func TestGaugeDriftDrainRestart(t *testing.T) {
 	opts := testOptions(t)
-	s1, err := New(opts)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	c1, hs1 := newTestServer(t, opts)
 	hold := make(chan struct{})
-	released := false
-	s1.beforeRun = func(*Job) { <-hold }
-	hs1 := newHTTPServer(t, s1)
-	defer func() {
-		if !released {
-			close(hold)
-		}
-	}()
+	setBeforeRun(c1, func(string) { <-hold })
 
 	id := submitJob(t, hs1.URL, JobSpec{Kind: "grid", Grid: "micro", Instr: 800})
-	waitState(t, s1, id, StateRunning)
-	if got := s1.Metrics().JobsRunning; got != 1 {
+	waitState(t, c1, id, StateRunning)
+	if got := c1.Metrics().JobsRunning; got != 1 {
 		t.Fatalf("running gauge = %d, want 1", got)
 	}
 
@@ -236,23 +233,21 @@ func TestGaugeDriftDrainRestart(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		drained <- s1.Shutdown(ctx)
+		drained <- c1.Shutdown(ctx)
 	}()
 	close(hold)
-	released = true
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	waitState(t, s1, id, StateInterrupted)
-	gaugesZero(t, s1, "after drain")
+	waitState(t, c1, id, StateInterrupted)
+	gaugesZero(t, c1, "after drain")
 
-	s2, hs2 := newTestServer(t, opts)
-	if got := s2.Metrics().JobsRecovered; got != 1 {
+	c2, _ := newTestServer(t, opts)
+	if got := c2.Metrics().JobsRecovered; got != 1 {
 		t.Fatalf("JobsRecovered = %d, want 1", got)
 	}
-	waitJob(t, s2, id, StateDone)
-	waitGaugesZero(t, s2)
-	_ = hs2
+	waitState(t, c2, id, StateDone)
+	gaugesZero(t, c2, "after resume")
 }
 
 // TestRetryAfterHeaderValue pins the 429 Retry-After arithmetic: at 0.25
@@ -262,7 +257,7 @@ func TestRetryAfterHeaderValue(t *testing.T) {
 	opts := testOptions(t)
 	opts.Rate = 0.25
 	opts.Burst = 1
-	s, hs := newTestServer(t, opts)
+	c, hs := newTestServer(t, opts)
 
 	id, code, _ := trySubmit(t, hs.URL, JobSpec{Kind: "run", Bench: "gcc", Instr: 800}, "alice")
 	if code != http.StatusAccepted {
@@ -283,20 +278,20 @@ func TestRetryAfterHeaderValue(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != "4" {
 		t.Errorf("Retry-After = %q, want \"4\" (1 token / 0.25 per sec)", got)
 	}
-	if got := s.Metrics().RateLimited; got != 1 {
+	if got := c.Metrics().RateLimited; got != 1 {
 		t.Errorf("RateLimited = %d, want 1", got)
 	}
-	waitJob(t, s, id, StateDone)
+	waitState(t, c, id, StateDone)
 }
 
 // TestLimiterPruneShrinksClients exercises the idle-bucket prune directly:
 // the tracked-client gauge grows under client churn and idle buckets are
-// dropped shard by shard once they have refilled to full, so a second wave
-// of clients replaces the first instead of accumulating on top of it.
+// dropped once they have refilled to full, so a second wave of clients
+// replaces the first instead of accumulating on top of it.
 func TestLimiterPruneShrinksClients(t *testing.T) {
 	l := NewLimiter(1, 5)
 	now := time.Now()
-	const wave = 16 * limiterPrune * 2 // every shard comfortably past its prune threshold
+	const wave = 2 * limiterPrune // comfortably past the prune threshold
 	for i := 0; i < wave; i++ {
 		l.Allow(fmt.Sprintf("client-%d", i), now)
 	}
@@ -304,8 +299,8 @@ func TestLimiterPruneShrinksClients(t *testing.T) {
 		t.Fatalf("clients after churn = %d, want %d", got, wave)
 	}
 	// 10 idle seconds at rate 1 refills past burst 5: every first-wave
-	// bucket carries no information, and the second wave's insertions push
-	// each shard past its prune threshold, dropping them all.
+	// bucket carries no information, so the first prune scan of the second
+	// wave drops them all.
 	for i := 0; i < wave; i++ {
 		l.Allow(fmt.Sprintf("late-client-%d", i), now.Add(10*time.Second))
 	}
@@ -320,12 +315,12 @@ func TestLimiterPruneShrinksClients(t *testing.T) {
 // is fetched. Span run keys must match the sweep journal's keys, which is
 // the correlation contract.
 func TestSpanLogLifecycle(t *testing.T) {
-	s, hs := newTestServer(t, testOptions(t))
+	c, hs := newTestServer(t, testOptions(t))
 	id := submitJob(t, hs.URL, JobSpec{Kind: "run", Bench: "gcc", Instr: 800})
-	waitJob(t, s, id, StateDone)
+	waitState(t, c, id, StateDone)
 	_ = fetchManifest(t, hs.URL, id)
 
-	f, err := os.Open(s.jobFile(id, "spans.jsonl"))
+	f, err := os.Open(c.jobFile(id, "spans.jsonl"))
 	if err != nil {
 		t.Fatalf("open span log: %v", err)
 	}
@@ -362,20 +357,6 @@ func TestSpanLogLifecycle(t *testing.T) {
 
 // --- helpers ---------------------------------------------------------------
 
-// newHTTPServer wraps an already-constructed Server (one whose beforeRun
-// hook the test installed first) in an httptest server with cleanup.
-func newHTTPServer(t *testing.T, s *Server) *httptest.Server {
-	t.Helper()
-	hs := httptest.NewServer(s)
-	t.Cleanup(func() {
-		hs.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	})
-	return hs
-}
-
 func cancelJob(t *testing.T, base, id string) {
 	t.Helper()
 	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+id, nil)
@@ -387,38 +368,4 @@ func cancelJob(t *testing.T, base, id string) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel %s: status %d", id, resp.StatusCode)
 	}
-}
-
-// waitState polls until the job reaches state (non-terminal states cannot
-// use Done()).
-func waitState(t *testing.T, s *Server, id, state string) {
-	t.Helper()
-	j, ok := s.Job(id)
-	if !ok {
-		t.Fatalf("job %s not found", id)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if j.State() == state {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("job %s never reached %s (state %s)", id, state, j.State())
-}
-
-// waitGaugesZero polls briefly before asserting: the finish hook runs
-// inside the state transition, but the worker decrements the queue gauge
-// on pop, which can land a beat after Done() is observable.
-func waitGaugesZero(t *testing.T, s *Server) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		m := s.Metrics()
-		if m.JobsQueued == 0 && m.JobsRunning == 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	gaugesZero(t, s, "after settle")
 }

@@ -156,14 +156,7 @@ func (e *Engine) Execute(ctx context.Context, g Grid, fn RunFunc) (*Manifest, er
 	for i := range e.shards {
 		e.shards[i].Worker = i
 	}
-	e.info = obs.SweepInfo{Workers: e.pool.Workers(), Total: len(units), Batch: lanes}
-	if sampled := countSampled(units); sampled > 0 {
-		e.info.Sample = &obs.SampleSweepInfo{
-			Modes:       sampleModes(units),
-			SampledRuns: sampled,
-			ExactRuns:   len(units) - sampled,
-		}
-	}
+	e.info = obs.SweepInfo{Workers: e.pool.Workers(), Total: len(units), Batch: lanes, Sample: SampleInfo(units)}
 	e.journal = e.opts.Journal
 	e.mu.Unlock()
 
@@ -296,8 +289,8 @@ func (e *Engine) Execute(ctx context.Context, g Grid, fn RunFunc) (*Manifest, er
 
 // FinalizeManifest assembles the deterministic merged manifest from one
 // record per grid unit, already in grid (Seq) order. It is the single
-// merge path: the engine and the cluster coordinator both call it, so the
-// byte-parity argument (DESIGN 3.1c/d, 3.1i) rests on one piece of code
+// merge path: the engine and the job-service coordinator both call it, so
+// the byte-parity argument (DESIGN 3.1c, 3.1i) rests on one piece of code
 // regardless of whether records were produced by goroutines in one
 // process or by worker daemons across a fleet.
 func FinalizeManifest(g Grid, runs []Record) (*Manifest, error) {
@@ -416,7 +409,7 @@ func (e *Engine) injected(fn RunFunc) RunFunc {
 
 // InjectPanicRun wraps fn so that every attempt of the k-th grid run
 // (1-based, grid order) panics before executing. It is the shared
-// fault-injection hook: the engine and the cluster worker apply it
+// fault-injection hook: the engine and the job-service workers apply it
 // identically, so a poisoned unit fails with the same recorded error no
 // matter where it is scheduled.
 func InjectPanicRun(fn RunFunc, k int) RunFunc {
@@ -431,7 +424,7 @@ func InjectPanicRun(fn RunFunc, k int) RunFunc {
 // ExecuteUnit runs one grid unit with panic isolation and bounded
 // retry-with-backoff (backoff doubles per retry), returning its
 // deterministic record. It is the engine's per-unit execution path,
-// exported so other executors — the cluster worker daemon — share the
+// exported so other executors — the job-service workers — share the
 // exact retry, panic-recovery, and failure-recording semantics that the
 // parity argument depends on. onRetry, when non-nil, is called before
 // each retry sleep.
@@ -532,27 +525,25 @@ func (e *Engine) writeJournal(v any) error {
 	return nil
 }
 
-// countSampled returns how many units run in sampled mode.
-func countSampled(units []Unit) int {
-	n := 0
-	for _, u := range units {
-		if u.Sample != "" {
-			n++
-		}
-	}
-	return n
-}
-
-// sampleModes returns the distinct non-empty sample modes in first-appearance
-// order.
-func sampleModes(units []Unit) []string {
-	var modes []string
+// SampleInfo summarizes the sampled-execution axis of units for a perf
+// manifest: the distinct sample modes in first-appearance order and the
+// sampled/exact split. It is nil when every unit runs exact.
+func SampleInfo(units []Unit) *obs.SampleSweepInfo {
+	info := &obs.SampleSweepInfo{}
 	seen := make(map[string]bool)
 	for _, u := range units {
-		if u.Sample != "" && !seen[u.Sample] {
+		if u.Sample == "" {
+			info.ExactRuns++
+			continue
+		}
+		info.SampledRuns++
+		if !seen[u.Sample] {
 			seen[u.Sample] = true
-			modes = append(modes, u.Sample)
+			info.Modes = append(info.Modes, u.Sample)
 		}
 	}
-	return modes
+	if info.SampledRuns == 0 {
+		return nil
+	}
+	return info
 }

@@ -271,18 +271,7 @@ func SimPairScheduler(kind pipeline.SchedulerKind, instr uint64) (RunFunc, Batch
 		return e.prog
 	}
 	run := func(ctx context.Context, u Unit) (pipeline.Result, error) {
-		if err := u.Config.Validate(); err != nil {
-			return pipeline.Result{}, err
-		}
-		prog := getProg(u.Profile)
-		if u.Sample != "" {
-			plan, err := checkpoint.ParseMode(u.Sample)
-			if err != nil {
-				return pipeline.Result{}, err
-			}
-			return checkpoint.Run(u.Config, prog, kind, instr, plan).Result, nil
-		}
-		return pipeline.NewWithScheduler(u.Config, prog, kind).Run(instr), nil
+		return RunUnit(u, getProg(u.Profile), kind, instr)
 	}
 	runBatch := func(ctx context.Context, us []Unit) ([]pipeline.Result, batch.Perf, error) {
 		cfgs := make([]config.Config, len(us))
@@ -310,6 +299,25 @@ func SimPairScheduler(kind pipeline.SchedulerKind, instr uint64) (RunFunc, Batch
 		return res, perf, nil
 	}
 	return run, runBatch
+}
+
+// RunUnit simulates one grid unit over prog, the unit's profile image, for
+// instr instructions: exact detailed simulation, or the unit's sampling
+// plan. It is the one place a unit becomes a pipeline.Result — the solo
+// RunFunc above and every job-service worker call it — so which executor
+// ran a unit can never change its record.
+func RunUnit(u Unit, prog *program.Program, kind pipeline.SchedulerKind, instr uint64) (pipeline.Result, error) {
+	if err := u.Config.Validate(); err != nil {
+		return pipeline.Result{}, err
+	}
+	if u.Sample != "" {
+		plan, err := checkpoint.ParseMode(u.Sample)
+		if err != nil {
+			return pipeline.Result{}, err
+		}
+		return checkpoint.Run(u.Config, prog, kind, instr, plan).Result, nil
+	}
+	return pipeline.NewWithScheduler(u.Config, prog, kind).Run(instr), nil
 }
 
 // SimScheduler returns the standard solo RunFunc (see SimPairScheduler).
