@@ -11,7 +11,7 @@
 //	     [-heartbeat-timeout d] [-lease-timeout d] [-drain d]
 //	     [-log-format text|json] [-log-level debug|info|warn|error] [-pprof]
 //	atrd -join http://coordinator:8437 [-name w1] [-addr :8438]
-//	     [-sim-workers N] [-retries N] [-backoff d] [-poll-interval d]
+//	     [-sim-workers N] [-retries N] [-backoff d]
 //
 // Client API (JSON; atrctl speaks it):
 //
@@ -38,10 +38,12 @@
 // Backpressure: a full queue (-queue jobs none of whose units is leased
 // yet), an exhausted per-client token bucket, or a tenant at its
 // -max-active quota answers 429 with Retry-After. On SIGINT/SIGTERM the
-// daemon drains: in-flight units finish and are journaled, unfinished
-// jobs park in the state dir, and the next atrd over the same -state
-// resumes them. A joined worker keeps no state and serves only /healthz
-// and /metrics on -addr.
+// daemon drains the coordinator before the HTTP server: in-flight units
+// finish and are journaled, unfinished jobs park in the state dir as
+// interrupted (ending their event streams), parked polls return, and the
+// next atrd over the same -state resumes the jobs. A joined worker keeps
+// no state, runs -sim-workers slots that each lease one unit at a time,
+// and serves only /healthz and /metrics on -addr.
 package main
 
 import (
@@ -112,7 +114,6 @@ func main() {
 	name := flag.String("name", "", "worker name, stable across restarts (default: hostname)")
 	hbTimeout := flag.Duration("heartbeat-timeout", 10*time.Second, "evict joined workers silent this long")
 	leaseTimeout := flag.Duration("lease-timeout", 60*time.Second, "reclaim joined workers' unit leases unsatisfied this long")
-	pollInterval := flag.Duration("poll-interval", 250*time.Millisecond, "worker: idle sleep between empty polls")
 	maxActive := flag.Int("max-active", 0, "default per-tenant active-job quota (0 = unlimited)")
 	flag.Parse()
 
@@ -129,7 +130,7 @@ func main() {
 		os.Exit(runWorker(logger, server.WorkerOptions{
 			Coordinator: *join, Name: *name, Addr: *addr,
 			SimWorkers: *simWorkers, Retries: *retries, Backoff: *backoff,
-			PollInterval: *pollInterval, Logger: logger,
+			Logger: logger,
 		}))
 	}
 
@@ -186,14 +187,16 @@ func main() {
 	case <-ctx.Done():
 	}
 
+	// The coordinator drains first: that ends event streams and parked
+	// polls, which http.Server.Shutdown would otherwise wait for.
 	logger.Info("draining", "budget", drain.String())
 	dctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
-	_ = httpSrv.Shutdown(dctx)
 	if err := c.Shutdown(dctx); err != nil {
 		logger.Error("drain incomplete; journals stay resumable", "err", err)
 		os.Exit(1)
 	}
+	_ = httpSrv.Shutdown(dctx)
 	logger.Info("drained cleanly; unfinished jobs will resume on restart")
 }
 

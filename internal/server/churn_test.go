@@ -79,7 +79,7 @@ func TestStealBackAfterWorkerDeath(t *testing.T) {
 		t.Fatalf("done after prefix upload = %d, want 3", uploadedAttempts)
 	}
 
-	startWorker(t, hs.URL, "rescuer")
+	startWorker(t, hs.URL, "rescuer", 2)
 	waitState(t, c, st.ID, StateDone)
 
 	if got := c.tm.unitsStolen.Value(); got < uint64(total-3) {

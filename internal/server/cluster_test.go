@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"atr/internal/experiments"
 	"atr/internal/pipeline"
 	"atr/internal/sweep"
 )
@@ -37,19 +38,16 @@ func newTestCoordinator(t *testing.T, opts Options) (*Coordinator, *httptest.Ser
 		t.Fatalf("NewCoordinator: %v", err)
 	}
 	hs := httptest.NewServer(c)
-	t.Cleanup(func() { hs.Close(); _ = c.Shutdown(context.Background()) })
+	t.Cleanup(func() { _ = c.Shutdown(context.Background()); hs.Close() })
 	return c, hs
 }
 
-// startWorker runs a worker daemon against the coordinator URL and
-// returns its kill switch.
-func startWorker(t *testing.T, url, name string) context.CancelFunc {
+// startWorker runs a worker daemon of the given slots against the
+// coordinator URL and returns its kill switch.
+func startWorker(t *testing.T, url, name string, slots int) context.CancelFunc {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	w := NewWorker(WorkerOptions{
-		Coordinator: url, Name: name,
-		SimWorkers: 2, PollInterval: 10 * time.Millisecond,
-	})
+	w := NewWorker(WorkerOptions{Coordinator: url, Name: name, SimWorkers: slots})
 	done := make(chan struct{})
 	go func() { defer close(done); _ = w.Run(ctx) }()
 	t.Cleanup(func() { cancel(); <-done })
@@ -108,9 +106,9 @@ func TestClusterManifestMatchesSingleNode(t *testing.T) {
 	opts := clusterOptions(t)
 	c, hs := newTestCoordinator(t, opts)
 
-	startWorker(t, hs.URL, "w1")
-	startWorker(t, hs.URL, "w2")
-	killW3 := startWorker(t, hs.URL, "w3")
+	startWorker(t, hs.URL, "w1", 2)
+	startWorker(t, hs.URL, "w2", 2)
+	killW3 := startWorker(t, hs.URL, "w3", 2)
 
 	g := sweep.Fig10Grid(300)
 	st := submitSpec(t, hs.URL, JobSpec{Kind: "grid", Grid: "fig10", Instr: 300})
@@ -153,7 +151,7 @@ func TestClusterManifestMatchesSingleNode(t *testing.T) {
 func TestClusterInjectPanicParity(t *testing.T) {
 	opts := clusterOptions(t)
 	c, hs := newTestCoordinator(t, opts)
-	startWorker(t, hs.URL, "w1")
+	startWorker(t, hs.URL, "w1", 2)
 
 	g := sweep.MicroGrid(500)
 	st := submitSpec(t, hs.URL, JobSpec{Kind: "grid", Grid: "micro", Instr: 500, InjectPanic: 5})
@@ -253,8 +251,8 @@ func TestCoordinatorRestartRecovers(t *testing.T) {
 		t.Fatalf("recovered progress %+v, want %d resumed and done", stB.Progress, executed)
 	}
 
-	startWorker(t, base, "w1")
-	startWorker(t, base, "w2")
+	startWorker(t, base, "w1", 2)
+	startWorker(t, base, "w2", 2)
 	waitState(t, coordB, st.ID, StateDone)
 
 	got := fetchManifest(t, base, st.ID)
@@ -263,38 +261,252 @@ func TestCoordinatorRestartRecovers(t *testing.T) {
 	}
 }
 
-// TestRingOwnershipStability checks the consistent-hash properties the
-// sharding policy relies on: every worker owns a share of a real grid,
-// and removing one worker moves only the keys it owned.
-func TestRingOwnershipStability(t *testing.T) {
-	ids := []string{"w1", "w2", "w3"}
-	r3 := buildRing(ids)
-	units := sweep.Fig10Grid(0).Units()
-	own := make(map[string]int)
-	before := make(map[string]string, len(units))
-	for _, u := range units {
-		o := r3.owner(u.Key)
-		own[o]++
-		before[u.Key] = o
-	}
-	for _, id := range ids {
-		if own[id] == 0 {
-			t.Fatalf("worker %s owns no units of fig10: %v", id, own)
+// TestJoinedWorkersShareGrid proves dispatch is work-conserving: two
+// 1-slot workers each lease the oldest pending unit whenever their slot
+// frees, so each executes at least a quarter of fig10. The names w1 and w2
+// hash badly under FNV-1a: placement by a hash ring of those names would
+// hand w1 176 of the 184 units.
+func TestJoinedWorkersShareGrid(t *testing.T) {
+	opts := clusterOptions(t)
+	opts.HeartbeatTimeout = time.Minute // an eviction would reset a worker's count
+	c, hs := newTestCoordinator(t, opts)
+	startWorker(t, hs.URL, "w1", 1)
+	startWorker(t, hs.URL, "w2", 1)
+	waitFleet(t, c, 2)
+
+	total := len(sweep.Fig10Grid(1000).Units())
+	st := submitSpec(t, hs.URL, JobSpec{Kind: "grid", Grid: "fig10", Instr: 1000})
+	waitState(t, c, st.ID, StateDone)
+	for _, w := range c.Fleet().Workers {
+		if w.Done < uint64(total/4) {
+			t.Fatalf("worker %s executed %d of %d units, want at least a quarter", w.ID, w.Done, total)
 		}
 	}
-	r2 := buildRing([]string{"w1", "w3"})
-	for _, u := range units {
-		o := r2.owner(u.Key)
-		if before[u.Key] != "w2" && o != before[u.Key] {
-			t.Fatalf("key %s moved %s -> %s though its owner survived", u.Key, before[u.Key], o)
-		}
-		if o == "w2" {
-			t.Fatalf("key %s still owned by removed worker", u.Key)
-		}
+}
+
+// TestParkedPollWakesOnSubmit: a poll to an idle coordinator gives no
+// answer until a submission makes a unit leasable, and then answers at
+// once with the oldest one.
+func TestParkedPollWakesOnSubmit(t *testing.T) {
+	opts := clusterOptions(t)
+	opts.HeartbeatTimeout = time.Minute
+	c, hs := newTestCoordinator(t, opts)
+	newFakeWorker(t, hs.URL, "idle")
+
+	answer := parkPoll(t, c, hs.URL, "idle", 1)
+	select {
+	case res := <-answer:
+		t.Fatalf("poll to an idle coordinator answered %+v", res)
+	default:
 	}
-	if buildRing(nil).owner("anything") != "" {
-		t.Fatal("empty ring must own nothing")
+	t0 := time.Now()
+	st := submitSpec(t, hs.URL, JobSpec{Kind: "grid", Grid: "micro", Instr: 500})
+	res := <-answer
+	if waited := time.Since(t0); waited >= pollPark {
+		t.Fatalf("parked poll answered after %v: the bound woke it, not the submit", waited)
 	}
+	if res.err != nil || res.code != http.StatusOK || len(res.asn) != 1 ||
+		res.asn[0].Job != st.ID || len(res.asn[0].Seqs) != 1 || res.asn[0].Seqs[0] != 0 {
+		t.Fatalf("woken poll answered %+v, want job %s unit 0", res, st.ID)
+	}
+}
+
+// TestDrainEndsStreamsAndParkedPolls drains in atrd's order, coordinator
+// then HTTP server, with a watch stream open on a running job and a poll
+// parked. Both end promptly, well inside the poll bound: the stream with
+// the interrupted status, the poll with 503 and no lease.
+func TestDrainEndsStreamsAndParkedPolls(t *testing.T) {
+	opts := clusterOptions(t)
+	opts.HeartbeatTimeout, opts.LeaseTimeout = time.Minute, time.Minute
+	c, err := NewCoordinator(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: c}
+	go srv.Serve(lis)
+	t.Cleanup(func() { _ = c.Shutdown(context.Background()); srv.Close() })
+	base := "http://" + lis.Addr().String()
+
+	st := submitSpec(t, base, JobSpec{Kind: "grid", Grid: "micro", Instr: 500})
+	leased := 0
+	for _, a := range newFakeWorker(t, base, "holder").poll(t, pollMax) {
+		leased += len(a.Seqs)
+	}
+	if leased != st.Total {
+		t.Fatalf("holder leased %d of %d units", leased, st.Total)
+	}
+
+	resp, err := http.Get(base + "/v1/jobs/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	var first Event
+	if err := dec.Decode(&first); err != nil || first.State != StateRunning {
+		t.Fatalf("first event %+v (%v), want status running", first, err)
+	}
+	last := make(chan Event, 1)
+	go func() {
+		ev := first
+		for {
+			var next Event
+			if dec.Decode(&next) != nil {
+				break
+			}
+			ev = next
+		}
+		last <- ev
+	}()
+	newFakeWorker(t, base, "idle")
+	answer := parkPoll(t, c, base, "idle", 1)
+
+	t0 := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), pollPark)
+	defer cancel()
+	if err := c.Shutdown(ctx); err != nil {
+		t.Fatalf("coordinator drain: %v", err)
+	}
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("http drain: %v", err)
+	}
+	if took := time.Since(t0); took > pollPark/4 {
+		t.Fatalf("drain took %v", took)
+	}
+	if res := <-answer; res.code != http.StatusServiceUnavailable || len(res.asn) != 0 {
+		t.Fatalf("parked poll answered %+v, want 503 and no lease", res)
+	}
+	if ev := <-last; ev.Type != "status" || ev.State != StateInterrupted {
+		t.Fatalf("stream ended on %+v, want status interrupted", ev)
+	}
+}
+
+// TestWorkerLeasesNoMoreThanSlots: a 1-slot worker leases one unit at a
+// time, so no lease expires while its unit waits behind the others in the
+// grid — nothing is stolen or uploaded twice, and the fleet never shows
+// more leases than slots. The lease outlasts one unit by a margin but
+// not the grid's 24 in a row; the race detector slows a unit several-fold,
+// so the lease is sized from a timed one.
+func TestWorkerLeasesNoMoreThanSlots(t *testing.T) {
+	opts := clusterOptions(t)
+	g := sweep.MicroGrid(20_000)
+	t0 := time.Now()
+	if _, err := unitRunner(experiments.NewRunner(0), g.Instr, 0)(context.Background(), g.Units()[0]); err != nil {
+		t.Fatal(err)
+	}
+	opts.LeaseTimeout = max(opts.LeaseTimeout, 4*time.Since(t0))
+	c, hs := newTestCoordinator(t, opts)
+	startWorker(t, hs.URL, "solo", 1)
+	st := submitSpec(t, hs.URL, JobSpec{Kind: "grid", Grid: "micro", Instr: g.Instr})
+	deadline := time.Now().Add(5 * time.Minute)
+	for jobStatus(t, hs.URL, st.ID).State != StateDone {
+		for _, w := range c.Fleet().Workers {
+			if w.Leased > w.SimWorkers {
+				t.Fatalf("worker %s holds %d leases with %d slots", w.ID, w.Leased, w.SimWorkers)
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job did not finish")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := c.tm.unitsStolen.Value(); n != 0 {
+		t.Fatalf("%d units stolen, want 0", n)
+	}
+	if n := c.tm.dupUploads.Value(); n != 0 {
+		t.Fatalf("%d duplicate uploads, want 0", n)
+	}
+}
+
+// TestWorkerReregistersOnce: when the coordinator forgets a worker, as a
+// restart or an eviction does, each of its slots gets 404, but the worker
+// registers again only once. Each registration reclaims every lease held
+// under the name, so one per slot would steal units from sibling slots.
+func TestWorkerReregistersOnce(t *testing.T) {
+	opts := clusterOptions(t)
+	opts.HeartbeatTimeout, opts.LeaseTimeout = time.Minute, time.Minute
+	c, hs := newTestCoordinator(t, opts)
+	w := NewWorker(WorkerOptions{Coordinator: hs.URL, Name: "quad", SimWorkers: 4})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); _ = w.Run(ctx) }()
+	t.Cleanup(func() { cancel(); <-done })
+	deadline := time.Now().Add(10 * time.Second)
+	for w.wm.polls.Value() < 4 {
+		if time.Now().After(deadline) {
+			t.Fatal("slots never polled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	c.mu.Lock()
+	delete(c.workers, "quad")
+	c.wakeIdle() // the parked polls answer 404
+	c.mu.Unlock()
+	st := submitSpec(t, hs.URL, JobSpec{Kind: "grid", Grid: "micro", Instr: 2000})
+	waitState(t, c, st.ID, StateDone)
+	if n := c.tm.workersRegistered.Value(); n != 2 {
+		t.Fatalf("%d registrations, want the first and one more", n)
+	}
+	if n := c.tm.unitsStolen.Value(); n != 0 {
+		t.Fatalf("%d units stolen, want 0", n)
+	}
+}
+
+func waitFleet(t *testing.T, c *Coordinator, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(c.Fleet().Workers) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet of %d never registered", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// pollResult is one /cluster/v1/poll answer.
+type pollResult struct {
+	code int
+	asn  []Assignment
+	err  error
+}
+
+// parkPoll sends a poll for the registered worker name and returns once
+// the coordinator has taken it in — recorded its beat, and parked it if
+// nothing was leasable. The answer arrives on the returned channel.
+func parkPoll(t *testing.T, c *Coordinator, base, name string, max int) <-chan pollResult {
+	t.Helper()
+	beat := func() time.Time {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.workers[name].lastBeat
+	}
+	before := beat()
+	out := make(chan pollResult, 1)
+	go func() {
+		b, _ := json.Marshal(pollRequest{Worker: name, Max: max})
+		resp, err := http.Post(base+"/cluster/v1/poll", "application/json", bytes.NewReader(b))
+		if err != nil {
+			out <- pollResult{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var pr pollResponse
+		err = json.NewDecoder(resp.Body).Decode(&pr)
+		out <- pollResult{code: resp.StatusCode, asn: pr.Assignments, err: err}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for beat().Equal(before) {
+		if time.Now().After(deadline) {
+			t.Fatal("poll never reached the coordinator")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return out
 }
 
 // --- fake worker: drives the wire protocol by hand for deterministic

@@ -85,7 +85,7 @@ type Options struct {
 
 	// HeartbeatTimeout evicts a joined worker silent this long, and
 	// LeaseTimeout reclaims a joined worker's unit lease unsatisfied this
-	// long; reclaimed units become stealable (<= 0 select 10s and 60s).
+	// long; reclaimed units return to pending (<= 0 select 10s and 60s).
 	// In-process slots neither heartbeat nor lose their leases.
 	HeartbeatTimeout time.Duration
 	LeaseTimeout     time.Duration
@@ -100,6 +100,11 @@ const localWorker = "local"
 
 // pollMax bounds the units granted per worker poll.
 const pollMax = 64
+
+// pollPark bounds how long a poll with nothing to lease waits for a unit.
+// It sits well under a joined worker's 30 s client timeout, so an idle
+// worker's poll answers empty rather than failing.
+const pollPark = 10 * time.Second
 
 // Coordinator is the job service. It implements http.Handler.
 type Coordinator struct {
@@ -119,7 +124,6 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	workers map[string]*workerState
-	ring    *ring
 	jobs    map[string]*job
 	order   []string       // every job ID, in submission order
 	live    []*job         // queued and running jobs, in submission order
@@ -127,7 +131,7 @@ type Coordinator struct {
 	quotas  map[string]int // tenant -> max-active override
 	nextID  int
 	closed  bool
-	idle    chan struct{} // closed and replaced to wake idle local slots
+	idle    chan struct{} // closed and replaced to wake idle slots and parked polls
 
 	// beforeRun, when non-nil, is called by a local slot after it leases
 	// a unit and before executing it. Tests use it to hold units in
@@ -175,9 +179,8 @@ type job struct {
 }
 
 type lease struct {
-	worker    string
-	exp       time.Time
-	stealable bool // previously leased or owner evicted: any worker may take it
+	worker string
+	exp    time.Time
 }
 
 func (j *job) live() bool { return j.state == StateQueued || j.state == StateRunning }
@@ -244,7 +247,6 @@ func newCoordinator(opts Options, fs storeFS) (*Coordinator, error) {
 		c.workers[localWorker] = &workerState{id: localWorker, local: true,
 			simWorkers: opts.SimWorkers, registeredAt: c.startedAt, lastBeat: c.startedAt}
 	}
-	c.ring = buildRing(c.workerIDsLocked())
 	if err := c.loadQuotas(); err != nil {
 		cancel()
 		return nil, err
@@ -439,19 +441,20 @@ func (j *job) bumpLocked() {
 	j.changed = make(chan struct{})
 }
 
-// admitLocked registers a new or recovered job as queued and wakes the
-// in-process worker.
+// admitLocked registers a new or recovered job as queued and wakes idle
+// workers.
 func (c *Coordinator) admitLocked(j *job) {
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
 	c.live = append(c.live, j)
 	c.active[j.tenant]++
 	c.tm.jobsQueued.Inc()
-	c.wakeLocal()
+	c.wakeIdle()
 }
 
-// wakeLocal wakes idle in-process slots: units may have become leasable.
-func (c *Coordinator) wakeLocal() {
+// wakeIdle wakes idle in-process slots and parked polls: units may have
+// become leasable.
+func (c *Coordinator) wakeIdle() {
 	close(c.idle)
 	c.idle = make(chan struct{})
 }
@@ -463,18 +466,13 @@ func (c *Coordinator) wakeLocal() {
 // leases, like leases past the lease timeout, are reclaimed. The
 // in-process worker is never evicted and its leases never expire.
 func (c *Coordinator) expireLocked(now time.Time) {
-	evicted := false
 	for id, w := range c.workers {
 		if !w.local && now.Sub(w.lastBeat) > c.opts.HeartbeatTimeout {
 			delete(c.workers, id)
-			evicted = true
 			c.tm.workersEvicted.Inc()
 			c.logger.Warn("worker evicted", "worker", id,
 				"silent", now.Sub(w.lastBeat).Round(time.Millisecond).String())
 		}
-	}
-	if evicted {
-		c.rebuildRingLocked()
 	}
 	for _, j := range c.live {
 		for seq, l := range j.leases {
@@ -489,21 +487,15 @@ func (c *Coordinator) expireLocked(now time.Time) {
 	}
 }
 
-// rebuildRingLocked re-shards affinity after a membership change. Units
-// the ring moved to the in-process worker must not wait for a submit.
-func (c *Coordinator) rebuildRingLocked() {
-	c.ring = buildRing(c.workerIDsLocked())
-	c.wakeLocal()
-}
-
-// reclaimLocked returns one leased unit to the stealable pool.
+// reclaimLocked returns one leased unit to pending, where the next worker
+// to lease takes it back.
 func (c *Coordinator) reclaimLocked(j *job, seq int) {
 	if w, ok := c.workers[j.leases[seq].worker]; ok {
 		w.leased--
 	}
-	j.leases[seq] = lease{stealable: true}
+	j.leases[seq] = lease{}
 	c.tm.unitsStolen.Inc()
-	c.wakeLocal()
+	c.wakeIdle()
 }
 
 func (c *Coordinator) workerIDsLocked() []string {
@@ -515,10 +507,9 @@ func (c *Coordinator) workerIDsLocked() []string {
 	return ids
 }
 
-// leaseLocked grants worker w up to max unit leases on units the
-// consistent-hash ring assigns to w or that any worker may steal. Live
-// jobs are visited in submission order, so earlier jobs drain first; a
-// job starts running at its first lease.
+// leaseLocked grants worker w up to max leases on the oldest pending
+// units: live jobs in submission order, units in grid order, whichever
+// worker asks. A job starts running at its first lease.
 func (c *Coordinator) leaseLocked(w *workerState, max int, now time.Time) []Assignment {
 	var out []Assignment
 	for _, j := range c.live {
@@ -529,9 +520,6 @@ func (c *Coordinator) leaseLocked(w *workerState, max int, now time.Time) []Assi
 			}
 			l := &j.leases[seq]
 			if j.recs[seq] != nil || l.worker != "" {
-				continue
-			}
-			if !l.stealable && c.ring.owner(j.units[seq].Key) != w.id {
 				continue
 			}
 			*l = lease{worker: w.id, exp: now.Add(c.opts.LeaseTimeout)}

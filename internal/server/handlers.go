@@ -381,7 +381,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	if prev, ok := c.workers[req.Name]; ok {
 		// A restarted daemon re-registering: its old leases are orphaned,
-		// so hand them to the stealable pool immediately.
+		// so return them to pending immediately.
 		for _, j := range c.live {
 			for seq, l := range j.leases {
 				if l.worker == prev.id {
@@ -394,7 +394,6 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		id: req.Name, addr: req.Addr, simWorkers: req.SimWorkers,
 		registeredAt: now, lastBeat: now,
 	}
-	c.rebuildRingLocked()
 	c.tm.workersRegistered.Inc()
 	c.mu.Unlock()
 	c.logger.Info("worker registered", "worker", req.Name, "addr", req.Addr)
@@ -434,6 +433,11 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
+// handlePoll leases up to Max of the oldest pending units to a joined
+// worker. With nothing to lease the poll parks on c.idle, as an idle
+// in-process slot does, until a unit may be leasable, the worker hangs
+// up, the coordinator drains, or pollPark passes. A draining coordinator
+// answers 503, so workers back off instead of re-polling.
 func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	var req pollRequest
 	if err := decodeBody(w, r, &req, 1<<16); err != nil {
@@ -444,19 +448,38 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	if max <= 0 || max > pollMax {
 		max = pollMax
 	}
+	park := time.NewTimer(pollPark)
+	defer park.Stop()
 	c.mu.Lock()
 	wk := c.beatLocked(req.Worker)
-	var out []Assignment
-	if wk != nil {
-		c.expireLocked(wk.lastBeat)
-		out = c.leaseLocked(wk, max, wk.lastBeat)
+	c.expireLocked(time.Now())
+	for wk != nil && !c.closed && r.Context().Err() == nil {
+		out, idle := c.leaseLocked(wk, max, time.Now()), c.idle
+		c.mu.Unlock()
+		if len(out) > 0 {
+			writeJSON(w, http.StatusOK, pollResponse{Assignments: out})
+			return
+		}
+		select {
+		case <-idle:
+		case <-r.Context().Done():
+		case <-c.ctx.Done():
+		case <-park.C:
+			writeJSON(w, http.StatusOK, pollResponse{})
+			return
+		}
+		c.mu.Lock()
+		c.expireLocked(time.Now())
+		wk = c.workers[req.Worker] // nil once evicted
 	}
+	closed := c.closed
 	c.mu.Unlock()
-	if wk == nil {
+	switch {
+	case closed:
+		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "daemon is shutting down"})
+	case wk == nil:
 		writeJSON(w, http.StatusNotFound, apiError{Error: "unknown worker " + req.Worker})
-		return
 	}
-	writeJSON(w, http.StatusOK, pollResponse{Assignments: out})
 }
 
 func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {

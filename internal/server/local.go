@@ -12,8 +12,9 @@ import (
 
 // localSlot is one slot of the in-process worker. It leases one unit at a
 // time and hands the record back by direct call — no HTTP, JSON,
-// heartbeat, lease expiry or poll sleep. An idle slot waits on c.idle,
-// which admission, reclaim, recovery and ring changes close.
+// heartbeat or lease expiry. An idle slot waits on c.idle, which
+// admission, reclaim and recovery close; a joined worker's parked poll
+// waits on the same channel.
 func (c *Coordinator) localSlot(slot int) {
 	defer c.wg.Done()
 	for c.ctx.Err() == nil {

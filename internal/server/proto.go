@@ -11,7 +11,7 @@ import "atr/internal/sweep"
 type registerRequest struct {
 	// Name identifies the worker; re-registering an existing name
 	// replaces the previous registration (the daemon restarted), and its
-	// outstanding leases become stealable.
+	// outstanding leases return to pending.
 	Name string `json:"name"`
 	// Addr, optional, is the worker's advertised /metrics address,
 	// surfaced in the fleet view for operators.
@@ -34,7 +34,7 @@ type heartbeatRequest struct {
 type pollRequest struct {
 	Worker string `json:"worker"`
 	// Max bounds the units leased by this poll; <= 0 selects the
-	// coordinator's default.
+	// coordinator's default. A worker slot asks for 1.
 	Max int `json:"max,omitempty"`
 }
 

@@ -31,8 +31,8 @@ type WorkerOptions struct {
 	// /metrics endpoint, surfaced in the fleet view.
 	Addr string
 
-	// SimWorkers bounds concurrent unit executions; <= 0 selects
-	// GOMAXPROCS.
+	// SimWorkers is the number of slots, each leasing and executing one
+	// unit at a time; <= 0 selects GOMAXPROCS.
 	SimWorkers int
 
 	// Retries/Backoff are the per-unit retry budget, identical in
@@ -41,40 +41,35 @@ type WorkerOptions struct {
 	Retries int
 	Backoff time.Duration
 
-	// PollInterval is the idle sleep between empty polls. <= 0 selects
-	// 250ms.
-	PollInterval time.Duration
-
 	// Logger receives structured worker logs; nil discards them.
 	Logger *slog.Logger
 }
 
 // Worker is a joined worker daemon (atrd -join): it registers with a
-// coordinator, heartbeats, polls for unit leases, executes them with the
-// sweep engine's own per-unit path over a shared program cache, and
-// uploads each record promptly (prompt upload is what makes the
-// coordinator's journal a live account of cluster progress). Workers hold
-// no durable state: a killed worker loses only in-flight units, which the
-// coordinator's lease expiry hands to the rest of the fleet.
+// coordinator, heartbeats, and runs SimWorkers slots that each poll for
+// one unit lease, execute it with the sweep engine's own per-unit path
+// over a shared program cache, and upload the record promptly (prompt
+// upload is what makes the coordinator's journal a live account of
+// cluster progress). Workers hold no durable state: a killed worker loses
+// only in-flight units, which the coordinator's lease expiry hands to the
+// rest of the fleet.
 type Worker struct {
-	opts   WorkerOptions
-	client *http.Client
-	runner *experiments.Runner
-	pool   *sweep.Pool
-	wm     *workerMetrics
-	logger *slog.Logger
+	opts    WorkerOptions
+	client  *http.Client
+	runner  *experiments.Runner
+	wm      *workerMetrics
+	logger  *slog.Logger
+	regLock chan struct{} // capacity 1: held while re-registering
 
 	mu         sync.Mutex
 	hbInterval time.Duration
+	gen        uint64 // registrations so far
 }
 
 // NewWorker creates a worker daemon.
 func NewWorker(opts WorkerOptions) *Worker {
 	if opts.SimWorkers <= 0 {
 		opts.SimWorkers = runtime.GOMAXPROCS(0)
-	}
-	if opts.PollInterval <= 0 {
-		opts.PollInterval = 250 * time.Millisecond
 	}
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -86,10 +81,10 @@ func NewWorker(opts WorkerOptions) *Worker {
 		// immutable image per profile across all assignments); result
 		// dedup is the coordinator's job, through the content-addressed
 		// cache.
-		runner: experiments.NewRunner(0),
-		pool:   sweep.NewPool(opts.SimWorkers),
-		wm:     newWorkerMetrics(opts.Coordinator, opts.Name),
-		logger: opts.Logger,
+		runner:  experiments.NewRunner(0),
+		wm:      newWorkerMetrics(opts.Coordinator, opts.Name),
+		logger:  opts.Logger,
+		regLock: make(chan struct{}, 1),
 	}
 }
 
@@ -108,8 +103,8 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
-// Run registers with the coordinator and executes assigned shards until
-// ctx is cancelled. Transient coordinator unavailability — restarts,
+// Run registers with the coordinator and runs the heartbeat and the slots
+// until ctx is cancelled. Transient coordinator unavailability — restarts,
 // evictions — is absorbed by re-registration; Run only returns on ctx
 // cancellation.
 func (w *Worker) Run(ctx context.Context) error {
@@ -119,65 +114,99 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err := w.registerUntil(ctx); err != nil {
 		return err
 	}
-
-	hbCtx, cancelHB := context.WithCancel(ctx)
-	defer cancelHB()
-	var hbDone sync.WaitGroup
-	hbDone.Add(1)
+	var wg sync.WaitGroup
+	wg.Add(1 + w.opts.SimWorkers)
 	go func() {
-		defer hbDone.Done()
-		w.heartbeatLoop(hbCtx)
+		defer wg.Done()
+		w.heartbeatLoop(ctx)
 	}()
-	defer hbDone.Wait()
+	for range w.opts.SimWorkers {
+		go func() {
+			defer wg.Done()
+			w.slot(ctx)
+		}()
+	}
+	wg.Wait()
+	return ctx.Err()
+}
 
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+// slot is one execution slot, the loop localSlot runs in-process: lease
+// one unit, execute it, upload its record. A poll with nothing to lease
+// parks at the coordinator until a unit is leasable, so a slot holds at
+// most one lease and sleeps only after a failed poll.
+func (w *Worker) slot(ctx context.Context) {
+	backoff := firstBackoff
+	for ctx.Err() == nil {
+		gen := w.generation()
 		assignments, err := w.poll(ctx)
-		if err != nil {
+		switch {
+		case err == nil:
+			backoff = firstBackoff
+			for _, a := range assignments {
+				w.execute(ctx, a)
+			}
+		case ctx.Err() != nil: // cancelled mid-poll
+		case isUnknown(err):
 			w.wm.pollErrors.Inc()
-			if isUnknown(err) {
-				w.wm.registered.Set(0)
-				if err := w.registerUntil(ctx); err != nil {
-					return err
-				}
-				continue
-			}
+			_ = w.reregister(ctx, gen) // fails only once ctx is done
+		default:
+			w.wm.pollErrors.Inc()
 			w.logger.Debug("poll failed", "err", err)
-			if !sleepCtx(ctx, w.opts.PollInterval) {
-				return ctx.Err()
-			}
-			continue
-		}
-		if len(assignments) == 0 {
-			if !sleepCtx(ctx, w.opts.PollInterval) {
-				return ctx.Err()
-			}
-			continue
-		}
-		for _, a := range assignments {
-			w.execute(ctx, a)
+			sleepCtx(ctx, backoff)
+			backoff = nextBackoff(backoff)
 		}
 	}
 }
 
+// firstBackoff starts the doubling retry schedule of registration and
+// failed polls.
+const firstBackoff = 100 * time.Millisecond
+
+// nextBackoff doubles a retry delay until it passes two seconds.
+func nextBackoff(d time.Duration) time.Duration {
+	if d < 2*time.Second {
+		return 2 * d
+	}
+	return d
+}
+
 // registerUntil registers with backoff until success or ctx cancellation.
 func (w *Worker) registerUntil(ctx context.Context) error {
-	backoff := 100 * time.Millisecond
-	for {
-		if err := w.register(ctx); err == nil {
+	for backoff := firstBackoff; ; backoff = nextBackoff(backoff) {
+		err := w.register(ctx)
+		if err == nil {
 			return nil
-		} else {
-			w.logger.Debug("register failed", "err", err)
 		}
+		w.logger.Debug("register failed", "err", err)
 		if !sleepCtx(ctx, backoff) {
 			return ctx.Err()
 		}
-		if backoff < 2*time.Second {
-			backoff *= 2
-		}
 	}
+}
+
+// reregister registers again after the coordinator answered 404 to a call
+// made under registration gen: it restarted or evicted this worker. The
+// slots and the heartbeat loop may all get that answer; only the first
+// registers, and the rest find gen moved on. A registration per caller
+// would reclaim the leases sibling slots took after the first.
+func (w *Worker) reregister(ctx context.Context, gen uint64) error {
+	select {
+	case w.regLock <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	defer func() { <-w.regLock }()
+	if w.generation() != gen {
+		return nil
+	}
+	w.wm.registered.Set(0)
+	return w.registerUntil(ctx)
+}
+
+func (w *Worker) generation() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.gen
 }
 
 func (w *Worker) register(ctx context.Context) error {
@@ -193,6 +222,7 @@ func (w *Worker) register(ctx context.Context) error {
 	if w.hbInterval <= 0 {
 		w.hbInterval = 3 * time.Second
 	}
+	w.gen++
 	w.mu.Unlock()
 	w.wm.registered.Set(1)
 	w.wm.registrations.Inc()
@@ -201,7 +231,7 @@ func (w *Worker) register(ctx context.Context) error {
 }
 
 // heartbeatLoop beats at the coordinator-announced interval for as long
-// as the worker runs — including while the main loop is deep in a long
+// as the worker runs — including while every slot is deep in a long
 // execution, which is exactly when liveness matters. An unknown-worker
 // response (coordinator restarted or evicted us) triggers immediate
 // re-registration so outstanding uploads are attributed again.
@@ -210,21 +240,18 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 		w.mu.Lock()
 		interval := w.hbInterval
 		w.mu.Unlock()
-		if interval <= 0 {
-			interval = 3 * time.Second
-		}
 		if !sleepCtx(ctx, interval) {
 			return
 		}
+		gen := w.generation()
 		var out map[string]string
 		err := w.post(ctx, "/cluster/v1/heartbeat", heartbeatRequest{Worker: w.opts.Name}, &out)
 		switch {
 		case err == nil:
 			w.wm.heartbeats.Inc()
 		case isUnknown(err):
-			w.wm.registered.Set(0)
-			if err := w.register(ctx); err != nil {
-				w.logger.Debug("re-register after heartbeat 404 failed", "err", err)
+			if w.reregister(ctx, gen) != nil {
+				return
 			}
 		default:
 			w.logger.Debug("heartbeat failed", "err", err)
@@ -232,19 +259,21 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 	}
 }
 
+// poll asks for one unit lease, parking at the coordinator while there
+// is none.
 func (w *Worker) poll(ctx context.Context) ([]Assignment, error) {
 	w.wm.polls.Inc()
 	var resp pollResponse
-	if err := w.post(ctx, "/cluster/v1/poll", pollRequest{Worker: w.opts.Name}, &resp); err != nil {
+	if err := w.post(ctx, "/cluster/v1/poll", pollRequest{Worker: w.opts.Name, Max: 1}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Assignments, nil
 }
 
-// execute runs one assignment's units on the worker pool, uploading each
-// record as it completes. Every unit goes through sweep.ExecuteUnit — the
-// engine's own retry/panic-isolation path — over unitRunner, the runner
-// the in-process worker uses too, so a unit executed anywhere fails (or
+// execute runs one assignment's units in order, uploading each record as
+// it completes. Every unit goes through sweep.ExecuteUnit — the engine's
+// own retry/panic-isolation path — over unitRunner, the runner the
+// in-process worker uses too, so a unit executed anywhere fails (or
 // succeeds) with byte-identical records.
 func (w *Worker) execute(ctx context.Context, a Assignment) {
 	g, err := a.Spec.ResolveGrid(a.Instr)
@@ -254,7 +283,7 @@ func (w *Worker) execute(ctx context.Context, a Assignment) {
 		return
 	}
 	units := g.Units()
-	sel := make([]sweep.Unit, 0, len(a.Seqs))
+	fn := unitRunner(w.runner, g.Instr, a.Spec.InjectPanic)
 	for _, seq := range a.Seqs {
 		if seq < 0 || seq >= len(units) {
 			w.upload(ctx, uploadRequest{
@@ -263,12 +292,7 @@ func (w *Worker) execute(ctx context.Context, a Assignment) {
 			})
 			return
 		}
-		sel = append(sel, units[seq])
-	}
-	fn := unitRunner(w.runner, g.Instr, a.Spec.InjectPanic)
-	_ = w.pool.ForEach(ctx, len(sel), func(_, i int) {
-		u := sel[i]
-		rec := sweep.ExecuteUnit(ctx, u, fn, w.opts.Retries, w.opts.Backoff, nil)
+		rec := sweep.ExecuteUnit(ctx, units[seq], fn, w.opts.Retries, w.opts.Backoff, nil)
 		if ctx.Err() != nil && rec.Err != "" {
 			// Shutdown mid-retry: drop the incomplete record; the lease
 			// expires and another worker re-executes the unit.
@@ -279,7 +303,7 @@ func (w *Worker) execute(ctx context.Context, a Assignment) {
 			w.wm.unitsFailed.Inc()
 		}
 		w.upload(ctx, uploadRequest{Worker: w.opts.Name, Job: a.Job, Records: []sweep.Record{rec}})
-	})
+	}
 }
 
 // upload delivers records with bounded retry. A drop after retries is
