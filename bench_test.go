@@ -189,13 +189,16 @@ func BenchmarkCacheHierarchy(b *testing.B) {
 	}
 }
 
+// BenchmarkEmulator times the functional emulator's StepInto, the call
+// sampled runs fast-forward with.
 func BenchmarkEmulator(b *testing.B) {
 	p, _ := workload.ByName("gcc")
 	prog := p.Generate()
 	e := program.NewEmulator(prog)
+	var rec program.Record
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := e.Step(); !ok {
+		if !e.StepInto(&rec) {
 			e = program.NewEmulator(prog)
 		}
 	}

@@ -196,7 +196,7 @@ func main() {
 		for i := range cfgs {
 			cfgs[i] = cfg
 		}
-		lanes, perf := batch.Run(prog, cfgs, *n, batch.Options{Kind: sched})
+		lanes, perf := batch.Run(prog, cfgs, *n, batch.Options{Kind: sched, Lifetimes: true})
 		bperf = perf
 		cpu, res = lanes[0].CPU, lanes[0].Result
 		for i, l := range lanes {
@@ -211,6 +211,7 @@ func main() {
 		}
 	} else {
 		cpu = pipeline.NewWithScheduler(cfg, prog, sched)
+		cpu.Engine.TrackLifetimes()
 		if observer.Enabled() {
 			cpu.Observe(&observer)
 		}

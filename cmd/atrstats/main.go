@@ -97,6 +97,7 @@ func crossCheck(n int, w *os.File) []CrossRow {
 	for _, p := range workload.Profiles() {
 		prog := p.Generate()
 		cpu := pipeline.New(config.GoldenCove(), prog)
+		cpu.Engine.TrackLifetimes()
 		cpu.Run(uint64(n))
 		_, _, pipeAtomic := cpu.Engine.Ledger.RegionFractions()
 		tr := trace.AnalyzeProgram(prog, isa.ClassGPR, n)

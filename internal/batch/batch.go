@@ -43,6 +43,10 @@ type Options struct {
 	// Slice is the per-lane cycle budget of one lockstep round; 0 selects
 	// DefaultSlice.
 	Slice uint64
+
+	// Lifetimes turns on every lane engine's register-lifetime ledger
+	// (core.Engine.TrackLifetimes) for callers that read it afterwards.
+	Lifetimes bool
 }
 
 // Lane is one finished configuration: its result plus the CPU that
@@ -74,6 +78,9 @@ func Run(prog *program.Program, cfgs []config.Config, instr uint64, opt Options)
 	lanes := make([]Lane, len(cfgs))
 	for i, cfg := range cfgs {
 		lanes[i].CPU = pipeline.NewWithScheduler(cfg, prog, opt.Kind)
+		if opt.Lifetimes {
+			lanes[i].CPU.Engine.TrackLifetimes()
+		}
 	}
 	t1 := time.Now()
 	perf.SetupSeconds = t1.Sub(t0).Seconds()

@@ -61,9 +61,10 @@ func TestBatchLedgerMatchesSolo(t *testing.T) {
 		config.GoldenCove().WithPhysRegs(64).WithScheme(config.SchemeCombined),
 		config.GoldenCove().WithPhysRegs(224).WithScheme(config.SchemeATR),
 	}
-	lanes, _ := Run(prog, cfgs, instr, Options{Kind: pipeline.SchedulerEvent})
+	lanes, _ := Run(prog, cfgs, instr, Options{Kind: pipeline.SchedulerEvent, Lifetimes: true})
 	for i, cfg := range cfgs {
 		solo := pipeline.NewWithScheduler(cfg, prog, pipeline.SchedulerEvent)
+		solo.Engine.TrackLifetimes()
 		solo.Run(instr)
 		got := lanes[i].CPU.Engine.Ledger
 		want := solo.Engine.Ledger

@@ -199,10 +199,15 @@ func (c *Cache) HitRate() float64 {
 type mshrSet struct {
 	inflight map[uint64]uint64 // line -> ready cycle
 	slots    []uint64          // busy-until per MSHR
+	// sweepAt is the inflight size above which reserve next drops
+	// finished entries: twice the size the last sweep left, and at least
+	// 4×MSHRs. Under a miss backlog most entries are unfinished, so a
+	// sweep on every call would rescan them all for nothing.
+	sweepAt int
 }
 
 func newMSHRSet(n int) *mshrSet {
-	return &mshrSet{inflight: make(map[uint64]uint64), slots: make([]uint64, n)}
+	return &mshrSet{inflight: make(map[uint64]uint64), slots: make([]uint64, n), sweepAt: 4 * n}
 }
 
 // reserve finds when a new miss to line can start given MSHR availability,
@@ -225,13 +230,17 @@ func (m *mshrSet) reserve(line, now, ready uint64) (start uint64, merged bool, m
 	delta := start - now
 	m.slots[best] = ready + delta
 	m.inflight[line] = ready + delta
-	// Opportunistically clean finished entries to bound the map.
-	if len(m.inflight) > 4*len(m.slots) {
+	// Drop finished entries to bound the map. How often this runs cannot
+	// change a result: a hierarchy's accesses arrive in non-decreasing
+	// cycle order, so an entry finished by now reads as absent above at
+	// every later call, dropped or not.
+	if len(m.inflight) > m.sweepAt {
 		for l, r := range m.inflight {
 			if r <= now {
 				delete(m.inflight, l)
 			}
 		}
+		m.sweepAt = max(4*len(m.slots), 2*len(m.inflight))
 	}
 	return start, false, 0
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -141,6 +142,88 @@ func TestMSHRBackpressure(t *testing.T) {
 	if d2 <= d1 {
 		t.Errorf("second miss with 1 MSHR should serialize: d1=%d d2=%d", d1, d2)
 	}
+}
+
+// refMSHR is mshrSet.reserve as it was before its sweeps were amortized:
+// once the map holds more than 4×MSHRs entries, every call rescans it for
+// finished entries. It is the reference the amortized sweep must match.
+type refMSHR struct {
+	inflight map[uint64]uint64
+	slots    []uint64
+}
+
+func (m *refMSHR) reserve(line, now, ready uint64) (start uint64, merged bool, mergedReady uint64) {
+	if r, ok := m.inflight[line]; ok && r > now {
+		return now, true, r
+	}
+	best := 0
+	for i, busy := range m.slots {
+		if busy < m.slots[best] {
+			best = i
+		}
+	}
+	start = now
+	if m.slots[best] > now {
+		start = m.slots[best]
+	}
+	delta := start - now
+	m.slots[best] = ready + delta
+	m.inflight[line] = ready + delta
+	if len(m.inflight) > 4*len(m.slots) {
+		for l, r := range m.inflight {
+			if r <= now {
+				delete(m.inflight, l)
+			}
+		}
+	}
+	return start, false, 0
+}
+
+// TestMSHRSweepMatchesReference replays a one-miss-per-cycle backlog —
+// more misses than the MSHRs can retire, so unfinished entries pile up —
+// with repeats of recent lines (merges, and stale entries that must read
+// as absent) and idle gaps that let the backlog drain. Every reserve must
+// return exactly what the sweep-every-call reference returns.
+func TestMSHRSweepMatchesReference(t *testing.T) {
+	const mshrs = 8
+	m := newMSHRSet(mshrs)
+	ref := &refMSHR{inflight: make(map[uint64]uint64), slots: make([]uint64, mshrs)}
+	rng := rand.New(rand.NewSource(0x5EED))
+	var recent [64]uint64
+	next := uint64(1)
+	now := uint64(0)
+	peak, merges, stale := 0, 0, 0
+	for i := 0; i < 30_000; i++ {
+		now++
+		if rng.Intn(5000) == 0 {
+			now += uint64(rng.Intn(200_000)) // idle gap: the backlog drains
+		}
+		line := next
+		if rng.Intn(4) == 0 {
+			line = recent[rng.Intn(len(recent))]
+		} else {
+			next++
+			recent[i%len(recent)] = line
+		}
+		ready := now + 20 + uint64(rng.Intn(300))
+		if r, ok := m.inflight[line]; ok && r <= now {
+			stale++
+		}
+		gs, gm, gr := m.reserve(line, now, ready)
+		ws, wm, wr := ref.reserve(line, now, ready)
+		if gs != ws || gm != wm || gr != wr {
+			t.Fatalf("miss %d (line %d, now %d): reserve = (%d, %v, %d), reference (%d, %v, %d)",
+				i, line, now, gs, gm, gr, ws, wm, wr)
+		}
+		peak = max(peak, len(m.inflight))
+		if gm {
+			merges++
+		}
+	}
+	if peak <= 4*mshrs || merges == 0 || stale == 0 {
+		t.Fatalf("replay too gentle: peak map %d (floor %d), %d merges, %d stale lookups", peak, 4*mshrs, merges, stale)
+	}
+	t.Logf("peak map %d, %d merges, %d stale lookups", peak, merges, stale)
 }
 
 func TestStreamPrefetcherAscending(t *testing.T) {

@@ -219,8 +219,15 @@ func (e *Estimate) Info() *obs.SampleInfo {
 // the plan's windows, functional fast-forward with warm-state maintenance
 // everywhere else, stopping after maxInstr instructions or program halt.
 // The returned estimate extrapolates every Result statistic from the window
-// measurements.
+// measurements. Window engines keep no register lifetimes: an Estimate has
+// no ledger to put them in.
 func Run(cfg config.Config, prog *program.Program, kind pipeline.SchedulerKind, maxInstr uint64, plan Plan) Estimate {
+	return run(cfg, prog, kind, maxInstr, plan, false)
+}
+
+// run is Run with the window engines' lifetime accounting switchable, so
+// tests can prove it leaves the Estimate unchanged.
+func run(cfg config.Config, prog *program.Program, kind pipeline.SchedulerKind, maxInstr uint64, plan Plan, lifetimes bool) Estimate {
 	if err := plan.Validate(); err != nil {
 		panic(err)
 	}
@@ -258,6 +265,9 @@ func Run(cfg config.Config, prog *program.Program, kind pipeline.SchedulerKind, 
 		}
 
 		cpu := pipeline.NewWithScheduler(cfg, prog, kind)
+		if lifetimes {
+			cpu.Engine.TrackLifetimes()
+		}
 		w.prime(cpu)
 		if warm > 0 {
 			cpu.RunFor(warm, ^uint64(0))

@@ -247,6 +247,29 @@ func TestSampledDeterminism(t *testing.T) {
 	}
 }
 
+// TestSampledLifetimeParity: lifetime accounting in the window engines is
+// analysis only, so turning it on leaves every field of the Estimate
+// unchanged, on an integer, a floating-point and a memory-bound profile.
+func TestSampledLifetimeParity(t *testing.T) {
+	cfg := testConfig()
+	plan := Plan{Period: 5000, Window: 1000, Warmup: 250}
+	for _, name := range []string{"gcc", "lbm", "mcf"} {
+		p, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("profile %q missing", name)
+		}
+		prog := p.Generate()
+		off := run(cfg, prog, pipeline.SchedulerEvent, 60000, plan, false)
+		on := run(cfg, prog, pipeline.SchedulerEvent, 60000, plan, true)
+		if off.Windows == 0 {
+			t.Fatalf("%s: no sampled windows", name)
+		}
+		if !reflect.DeepEqual(on, off) {
+			t.Errorf("%s: estimate depends on lifetime accounting:\n on  %+v\n off %+v", name, on, off)
+		}
+	}
+}
+
 // TestSampledAccuracyShort is the tier-1 accuracy check: on two real
 // profiles at a short horizon, the sampled IPC estimate must land within 5%
 // of the full-detail oracle.

@@ -248,7 +248,13 @@ type markNode struct {
 
 // markTab is the dense replacement of the earlyReleased set: mappings whose
 // physical-register reference was already dropped by ATR or nonspec-ER, so
-// commit and flush reclamation must skip them exactly once each.
+// commit and flush reclamation must skip them exactly once each. It is a
+// multiset: under move elimination two mappings can share a key (an arch
+// register mapped to the same allocation twice, say by a repeated
+// `mov r1, r4`, while the first mapping's redefiner is still in flight), and
+// each early-dropped reference needs its own mark. Deduplicating them would
+// let the second redefiner's commit drop the reference again and free the
+// register while it is still mapped.
 type markTab struct {
 	head  []int32
 	nodes []markNode
@@ -264,13 +270,8 @@ func newMarkTab(npregs int) markTab {
 	return markTab{head: head}
 }
 
-// add inserts the mapping if absent (map-set semantics: no duplicates).
+// add inserts one mark for the mapping, even if it already holds one.
 func (t *markTab) add(tag PTag, gen uint32, reg isa.Reg) {
-	for i := t.head[tag]; i >= 0; i = t.nodes[i].next {
-		if t.nodes[i].gen == gen && t.nodes[i].reg == reg {
-			return
-		}
-	}
 	var i int32
 	if n := len(t.free) - 1; n >= 0 {
 		i = t.free[n]
@@ -284,8 +285,8 @@ func (t *markTab) add(tag PTag, gen uint32, reg isa.Reg) {
 	t.n++
 }
 
-// takeOne removes the mapping if present, reporting whether it was (the
-// map's test-and-delete idiom).
+// takeOne removes one mark for the mapping if present, reporting whether
+// there was one.
 func (t *markTab) takeOne(tag PTag, gen uint32, reg isa.Reg) bool {
 	prev := int32(-1)
 	for i := t.head[tag]; i >= 0; i = t.nodes[i].next {
@@ -307,8 +308,9 @@ func (t *markTab) takeOne(tag PTag, gen uint32, reg isa.Reg) bool {
 
 // checkTab validates one chain store's arena accounting: every arena slot
 // is reachable from exactly one chain or the free list, chains contain no
-// duplicate keys, and the live count matches. The churn tests run it after
-// heavy recycling to prove slot reuse never aliases live state.
+// duplicate keys (unless sameKey is nil), and the live count matches. The
+// churn tests run it after heavy recycling to prove slot reuse never
+// aliases live state.
 func checkTab(name string, nNodes int, heads []int32, free []int32, n int,
 	next func(int32) int32, sameKey func(a, b int32) bool) error {
 	seen := make([]bool, nNodes)
@@ -324,7 +326,7 @@ func checkTab(name string, nNodes int, heads []int32, free []int32, n int,
 			}
 			seen[i] = true
 			for _, j := range chain {
-				if sameKey(i, j) {
+				if sameKey != nil && sameKey(i, j) {
 					return fmt.Errorf("core: %s tag %d has duplicate key in chain", name, tag)
 				}
 			}
@@ -380,8 +382,5 @@ func (t *claimTab) check() error {
 
 func (t *markTab) check() error {
 	return checkTab("markTab", len(t.nodes), t.head, t.free, t.n,
-		func(i int32) int32 { return t.nodes[i].next },
-		func(a, b int32) bool {
-			return t.nodes[a].gen == t.nodes[b].gen && t.nodes[a].reg == t.nodes[b].reg
-		})
+		func(i int32) int32 { return t.nodes[i].next }, nil)
 }

@@ -66,7 +66,8 @@ type preg struct {
 
 // bank is one register class's renaming state: SRT, physical registers, and
 // free list, plus the class's dense allocation-keyed side tables (lifetime
-// records, open ATR claims, early-release marks — see dense.go).
+// records, open ATR claims, early-release marks — see dense.go). lives is
+// allocated only when the engine tracks lifetimes.
 type bank struct {
 	class isa.RegClass
 	nArch int
@@ -150,8 +151,13 @@ type claimState struct {
 // Engine is the renaming and release unit. It owns the SRTs, free lists,
 // consumer counters, region detection, and all four release schemes.
 type Engine struct {
-	cfg    config.Config
-	banks  [isa.NumClasses]bank
+	cfg   config.Config
+	banks [isa.NumClasses]bank
+
+	// Ledger receives every finished register lifetime (the Fig 4/6/12/14
+	// analysis). It is nil, and the engine keeps no lifetime records at
+	// all, unless TrackLifetimes was called: no Result depends on it, so
+	// the hot path pays only this pointer compare when it is off.
 	Ledger *stats.LifetimeLedger
 	Stats  *stats.Counters
 
@@ -180,18 +186,17 @@ type Engine struct {
 	hRelease     [numRelKinds]stats.Handle
 
 	// cpPool recycles SRT checkpoints, the engine's only remaining
-	// steady-state heap objects (lifetime records live inside the banks'
-	// dense lifeTab arenas).
+	// steady-state heap objects (lifetime records, when tracked, live
+	// inside the banks' dense lifeTab arenas).
 	cpPool []*Checkpoint
 }
 
 // NewEngine builds the renaming state for cfg. The initial architectural
 // mappings are pre-allocated (one physical register per architectural
-// register in each class).
+// register in each class). Lifetime accounting is off; see TrackLifetimes.
 func NewEngine(cfg config.Config) *Engine {
 	e := &Engine{
 		cfg:      cfg,
-		Ledger:   stats.NewLifetimeLedger(),
 		Stats:    stats.NewCounters(),
 		satCount: cfg.MaxConsumerCount(),
 	}
@@ -218,7 +223,6 @@ func NewEngine(cfg config.Config) *Engine {
 		b.pregs = make([]preg, size)
 		b.srt = make([]PTag, nArch)
 		b.free = make([]PTag, 0, size)
-		b.lives = newLifeTab(size)
 		b.claims = newClaimTab(size)
 		b.early = newMarkTab(size)
 		for t := size - 1; t >= nArch; t-- {
@@ -234,10 +238,28 @@ func NewEngine(cfg config.Config) *Engine {
 			// definition.
 			b.pregs[a].allocCommitted = true
 			b.pregs[a].writePending = false
-			b.lives.put(PTag(a), 1, stats.RegLifetime{})
 		}
 	}
 	return e
+}
+
+// TrackLifetimes turns on register-lifetime accounting into a fresh Ledger,
+// starting with one record per initial architectural mapping. Call it
+// before the first Rename; records of allocations made earlier would be
+// missing. A second call is a no-op. Lifetimes never feed back into
+// renaming or release, so a run's Result is the same either way.
+func (e *Engine) TrackLifetimes() {
+	if e.Ledger != nil {
+		return
+	}
+	e.Ledger = stats.NewLifetimeLedger()
+	for c := range e.banks {
+		b := &e.banks[c]
+		b.lives = newLifeTab(len(b.pregs))
+		for a := 0; a < b.nArch; a++ {
+			b.lives.put(PTag(a), 1, stats.RegLifetime{})
+		}
+	}
 }
 
 // SetTracer attaches (or with nil detaches) a release-event tracer.
@@ -263,9 +285,13 @@ func (e *Engine) Lookup(r isa.Reg) Alloc {
 	return Alloc{Class: b.class, Tag: t, Gen: b.pregs[t].gen}
 }
 
-// life returns a's lifetime record, or nil. The pointer is valid only until
-// the next lifeTab insert (the arena may grow); callers use it locally.
+// life returns a's lifetime record, or nil (always nil when lifetimes are
+// not tracked). The pointer is valid only until the next lifeTab insert
+// (the arena may grow); callers use it locally.
 func (e *Engine) life(a Alloc) *stats.RegLifetime {
+	if e.Ledger == nil {
+		return nil
+	}
 	return e.banks[a.Class].lives.get(a.Tag, a.Gen)
 }
 
@@ -356,7 +382,9 @@ func (e *Engine) renameDst(r isa.Reg, cycle uint64) DstAlloc {
 	newTag, gen := b.alloc()
 	b.srt[idx] = newTag
 	na := Alloc{Class: b.class, Tag: newTag, Gen: gen}
-	b.lives.put(newTag, gen, stats.RegLifetime{Renamed: cycle})
+	if e.Ledger != nil {
+		b.lives.put(newTag, gen, stats.RegLifetime{Renamed: cycle})
+	}
 	e.Stats.Add(e.hRenameAlloc, 1)
 
 	d := DstAlloc{Reg: r, New: na, Prev: prev, PrevValid: true}
@@ -635,12 +663,14 @@ func (e *Engine) RedefinerCommitted(d DstAlloc, cycle uint64) {
 		return
 	}
 	b := &e.banks[d.Prev.Class]
-	if rec, ok := b.lives.take(d.Prev.Tag, d.Prev.Gen); ok {
-		rec.Committed = cycle
-		if rec.Precommitted == 0 {
-			rec.Precommitted = cycle
+	if e.Ledger != nil {
+		if rec, ok := b.lives.take(d.Prev.Tag, d.Prev.Gen); ok {
+			rec.Committed = cycle
+			if rec.Precommitted == 0 {
+				rec.Precommitted = cycle
+			}
+			e.Ledger.Record(&rec)
 		}
-		e.Ledger.Record(&rec)
 	}
 	if !d.PrevValid {
 		// Claimed by ATR. Close the interrupt region if it was open.
@@ -739,7 +769,7 @@ func (e *Engine) FlushInstr(out *RenameOut, cycle uint64) {
 		// else allocated: drop the reference but leave the original
 		// allocation's lifetime and claim state alone.
 		b := &e.banks[d.New.Class]
-		if !d.Eliminated {
+		if !d.Eliminated && e.Ledger != nil {
 			if rec, ok := b.lives.take(d.New.Tag, d.New.Gen); ok {
 				rec.WrongPath = true
 				e.Ledger.Record(&rec)
@@ -846,10 +876,14 @@ func (e *Engine) release(a Alloc, kind relKind, cycle uint64) {
 	b.free = append(b.free, a.Tag)
 }
 
-// Finalize records all still-tracked lifetimes (end of simulation window).
-// Drain order is ascending tag per class — deterministic, and harmless to
-// results because the ledger accumulates order-insensitive sums.
+// Finalize records all still-tracked lifetimes (end of simulation window);
+// without TrackLifetimes it does nothing. Drain order is ascending tag per
+// class — deterministic, and harmless to results because the ledger
+// accumulates order-insensitive sums.
 func (e *Engine) Finalize() {
+	if e.Ledger == nil {
+		return
+	}
 	for c := range e.banks {
 		e.banks[c].lives.drain(func(l *stats.RegLifetime) { e.Ledger.Record(l) })
 	}

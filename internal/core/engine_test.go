@@ -637,6 +637,7 @@ func TestOpenRegionsClaimAfterAllocCommit(t *testing.T) {
 
 func TestLedgerPopulated(t *testing.T) {
 	e := NewEngine(testCfg(config.SchemeBaseline))
+	e.TrackLifetimes()
 	i1 := alu(isa.R1, isa.R2)
 	out1 := e.Rename(&i1, 10)
 	c := alu(isa.R5, isa.R1)
@@ -672,8 +673,12 @@ func TestInfiniteRegsNeverStall(t *testing.T) {
 
 func TestFinalizeRecordsLives(t *testing.T) {
 	e := NewEngine(testCfg(config.SchemeBaseline))
+	e.TrackLifetimes()
 	i1 := alu(isa.R1, isa.R2)
 	e.Rename(&i1, 1)
+	if e.trackedLives() == 0 {
+		t.Fatal("no lives tracked before Finalize")
+	}
 	e.Finalize()
 	if n := e.trackedLives(); n != 0 {
 		t.Errorf("%d lives left after Finalize", n)

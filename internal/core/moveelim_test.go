@@ -150,3 +150,49 @@ func TestMoveEliminationDisabledByDefault(t *testing.T) {
 		t.Error("move must allocate when elimination is off")
 	}
 }
+
+// TestMoveEliminationRepeatedMappingER: `mov r1, r4` twice, each followed
+// by a redefinition of r1, makes two mappings r1 -> p4.1 with the same
+// key. nonspec-ER drops both references early, before either redefiner
+// commits; each commit must then skip exactly one early mark. If the
+// second mark is lost, the second commit releases p4 a third time and
+// frees it while r4 still maps it (a wrong-value or deadlock bug the
+// pipeline hit on lbm with the combined scheme).
+func TestMoveEliminationRepeatedMappingER(t *testing.T) {
+	e := NewEngine(meCfg(config.SchemeNonSpecER))
+	p := e.Lookup(isa.R4)
+	var redefs []DstAlloc
+	for i := 0; i < 2; i++ {
+		mv := move(isa.R1, isa.R4)
+		outM := e.Rename(&mv, uint64(10*i+1))
+		if !outM.Dsts[0].Eliminated {
+			t.Fatal("move not eliminated")
+		}
+		e.ConsumerIssued(outM.Srcs[0], uint64(10*i+1))
+		re := alu(isa.R1, isa.R2)
+		out := e.Rename(&re, uint64(10*i+2))
+		complete(e, &out, uint64(10*i+3))
+		if out.Dsts[0].Prev != p {
+			t.Fatalf("redefinition %d: prev = %v, want %v", i, out.Dsts[0].Prev, p)
+		}
+		redefs = append(redefs, out.Dsts[0])
+	}
+	for i, d := range redefs {
+		e.RedefinerPrecommitted(d, uint64(30+i))
+	}
+	if got := e.Stats.Get("release.er"); got != 2 {
+		t.Fatalf("release.er = %d, want 2 (both mappings dropped early)", got)
+	}
+	for i, d := range redefs {
+		e.RedefinerCommitted(d, uint64(40+i))
+	}
+	if e.banks[p.Class].pregs[p.Tag].free {
+		t.Fatal("register freed while r4 still maps it")
+	}
+	if refs := e.banks[p.Class].pregs[p.Tag].refs; refs != 1 {
+		t.Fatalf("refs = %d, want 1 (r4's mapping)", refs)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -269,7 +269,7 @@ func (r *Runner) RunBatch(p workload.Profile, cfgs []config.Config) []RunStats {
 			bcfgs[j] = cfgs[i]
 		}
 		r.sem <- struct{}{}
-		lanes, _ := batch.Run(prog, bcfgs, r.Instr, batch.Options{})
+		lanes, _ := batch.Run(prog, bcfgs, r.Instr, batch.Options{Lifetimes: true})
 		<-r.sem
 		for j, i := range miss {
 			e, lane := entries[i], lanes[j]
@@ -378,6 +378,7 @@ func (r *Runner) Prefetch(ps []workload.Profile, cfgs []config.Config) {
 
 func simulate(prog *program.Program, cfg config.Config, instr, sampleInterval uint64) RunStats {
 	cpu := pipeline.New(cfg, prog)
+	cpu.Engine.TrackLifetimes()
 	var sampler *obs.Sampler
 	if sampleInterval > 0 {
 		sampler = obs.NewSampler(sampleInterval)
@@ -387,9 +388,10 @@ func simulate(prog *program.Program, cfg config.Config, instr, sampleInterval ui
 	return collect(cpu, cfg, res, sampler)
 }
 
-// collect extracts RunStats from a finished CPU. Shared by solo runs and
-// batched lanes — a single extraction path is what makes RunBatch's memo
-// entries bit-identical to Run's.
+// collect extracts RunStats from a finished CPU, whose engine must have
+// tracked lifetimes. Shared by solo runs and batched lanes — a single
+// extraction path is what makes RunBatch's memo entries bit-identical to
+// Run's.
 func collect(cpu *pipeline.CPU, cfg config.Config, res pipeline.Result, sampler *obs.Sampler) RunStats {
 	led := cpu.Engine.Ledger
 

@@ -142,11 +142,11 @@ func TestInterleavingCountKnownValues(t *testing.T) {
 
 func TestValidateBounds(t *testing.T) {
 	bad := []Program{
-		{}, // no threads
-		{Threads: []Thread{{}, {}, {}, {}}},                            // too many threads
+		{},                                  // no threads
+		{Threads: []Thread{{}, {}, {}, {}}}, // too many threads
 		{Threads: []Thread{{St(0, 1), St(0, 1), St(0, 1), St(0, 1), St(0, 1), St(0, 1), St(0, 1)}}}, // too many ops
-		{Threads: []Thread{{St(MaxAddrs, 1)}}},                         // address out of range
-		{Threads: []Thread{{Ld(0, MaxRegs)}}},                          // register out of range
+		{Threads: []Thread{{St(MaxAddrs, 1)}}},                                                      // address out of range
+		{Threads: []Thread{{Ld(0, MaxRegs)}}},                                                       // register out of range
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -11,15 +11,27 @@ import (
 	"atr/internal/workload"
 )
 
-// runSched executes prog under cfg with the given scheduler implementation
-// and returns the run summary, the full counter dump, and a digest of the
-// complete JSONL event trace (uop events and release events).
-func runSched(cfg config.Config, prog *program.Program, n uint64, kind SchedulerKind) (Result, string, string) {
+// runSched executes prog under cfg with the given scheduler implementation,
+// with or without lifetime accounting, and returns the run summary, the full
+// counter dump (pipeline and release engine), and a digest of the complete
+// JSONL event trace (uop events and release events). A run with lifetimes
+// must also have recorded some.
+func runSched(t *testing.T, cfg config.Config, prog *program.Program, n uint64, kind SchedulerKind, lifetimes bool) (Result, string, string) {
+	t.Helper()
 	h := sha256.New()
 	cpu := NewWithScheduler(cfg, prog, kind)
+	if lifetimes {
+		cpu.Engine.TrackLifetimes()
+	}
 	cpu.Observe(&obs.Observer{Tracer: obs.NewTracer(h, nil)})
 	res := cpu.Run(n)
-	return res, cpu.Stats.String(), hex.EncodeToString(h.Sum(nil))
+	if err := cpu.Engine.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if lifetimes && cpu.Engine.Ledger.Completed() == 0 {
+		t.Fatal("lifetime accounting on, but no lifetime completed")
+	}
+	return res, cpu.Stats.String() + cpu.Engine.Stats.String(), hex.EncodeToString(h.Sum(nil))
 }
 
 // compareSchedulers asserts that the event scheduler is bit-identical to the
@@ -28,8 +40,8 @@ func runSched(cfg config.Config, prog *program.Program, n uint64, kind Scheduler
 // and lsq.forwards), and the same event trace byte-for-byte.
 func compareSchedulers(t *testing.T, name string, cfg config.Config, prog *program.Program, n uint64) {
 	t.Helper()
-	evRes, evCtr, evDig := runSched(cfg, prog, n, SchedulerEvent)
-	scRes, scCtr, scDig := runSched(cfg, prog, n, SchedulerScan)
+	evRes, evCtr, evDig := runSched(t, cfg, prog, n, SchedulerEvent, false)
+	scRes, scCtr, scDig := runSched(t, cfg, prog, n, SchedulerScan, false)
 	if evRes != scRes {
 		t.Errorf("%s: Result diverged\n event: %+v\n scan:  %+v", name, evRes, scRes)
 	}
@@ -118,24 +130,85 @@ func TestSchedulerEquivalenceInterrupts(t *testing.T) {
 
 // TestSteadyStateZeroAlloc verifies the tentpole's allocation goal: once
 // warm, stepping the event-driven pipeline allocates nothing — uops, wait
-// list entries, checkpoints, and lifetime records all recycle through free
-// lists.
+// list entries, checkpoints, and (when tracked) lifetime records all
+// recycle through free lists.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	p, _ := workload.ByName("gcc")
 	prog := p.Generate()
-	cpu := New(testConfig(), prog)
-	for i := 0; i < 250_000; i++ {
-		if cpu.robEmptyAndHalted() {
-			t.Fatal("program halted during warmup")
+	for _, lifetimes := range []bool{false, true} {
+		cpu := New(testConfig(), prog)
+		if lifetimes {
+			cpu.Engine.TrackLifetimes()
 		}
-		cpu.step()
-	}
-	avg := testing.AllocsPerRun(10, func() {
-		for i := 0; i < 2_000; i++ {
+		for i := 0; i < 250_000; i++ {
+			if cpu.robEmptyAndHalted() {
+				t.Fatal("program halted during warmup")
+			}
 			cpu.step()
 		}
-	})
-	if avg > 1 { // tolerate a stray map-growth rehash, nothing per-cycle
-		t.Errorf("steady-state allocations: %.2f per 2000 cycles, want 0", avg)
+		avg := testing.AllocsPerRun(10, func() {
+			for i := 0; i < 2_000; i++ {
+				cpu.step()
+			}
+		})
+		if avg > 1 { // tolerate a stray map-growth rehash, nothing per-cycle
+			t.Errorf("lifetimes %v: steady-state allocations: %.2f per 2000 cycles, want 0", lifetimes, avg)
+		}
+	}
+}
+
+// compareLifetimes asserts that lifetime accounting is analysis only: a run
+// that keeps the register-lifetime ledger produces the same Result, the
+// same counters and the same event trace as one that does not.
+func compareLifetimes(t *testing.T, name string, cfg config.Config, prog *program.Program, n uint64) {
+	t.Helper()
+	offRes, offCtr, offDig := runSched(t, cfg, prog, n, SchedulerEvent, false)
+	onRes, onCtr, onDig := runSched(t, cfg, prog, n, SchedulerEvent, true)
+	if onRes != offRes {
+		t.Errorf("%s: Result diverged\n lifetimes on:  %+v\n lifetimes off: %+v", name, onRes, offRes)
+	}
+	if onCtr != offCtr {
+		t.Errorf("%s: counters diverged\n lifetimes on:  %s\n lifetimes off: %s", name, onCtr, offCtr)
+	}
+	if onDig != offDig {
+		t.Errorf("%s: trace digest diverged (lifetimes on %s != off %s)", name, onDig, offDig)
+	}
+}
+
+// TestLifetimeParity: every benchmark profile under every release scheme,
+// both recovery styles, and the configurations with their own release
+// paths — move elimination, both interrupt modes, a pipelined redefine
+// signal and a checkpoint budget — runs bit-identically with lifetime
+// accounting on and off.
+func TestLifetimeParity(t *testing.T) {
+	variants := []struct {
+		name string
+		set  func(*config.Config)
+	}{
+		{"checkpoint", func(c *config.Config) {}},
+		{"walk", func(c *config.Config) { c.WalkRecovery = true }},
+		{"moveelim", func(c *config.Config) { c.MoveElimination = true }},
+		{"drain", func(c *config.Config) {
+			c.InterruptMode, c.InterruptInterval, c.InterruptCost = config.InterruptDrain, 500, 40
+		}},
+		{"flush", func(c *config.Config) {
+			c.InterruptMode, c.InterruptInterval, c.InterruptCost = config.InterruptFlush, 500, 40
+		}},
+		{"delay2", func(c *config.Config) { c.RedefineDelay = 2 }},
+		{"budget2", func(c *config.Config) { c.CheckpointBudget = 2 }},
+	}
+	for _, p := range workload.Profiles() {
+		p := p
+		t.Run(p.Name, func(t *testing.T) {
+			t.Parallel()
+			prog := p.Generate()
+			for _, scheme := range config.Schemes() {
+				for _, v := range variants {
+					cfg := testConfig().WithScheme(scheme)
+					v.set(&cfg)
+					compareLifetimes(t, scheme.String()+"/"+v.name, cfg, prog, 2000)
+				}
+			}
+		})
 	}
 }

@@ -654,7 +654,7 @@ func (c *CPU) issue(u *uop) {
 			loadVal = c.Data.Read(ea)
 			u.doneAt = c.Mem.AccessData(ea, false, c.cycle)
 		}
-		u.out = program.Eval(u.inst, u.pc, srcs[:], func(uint64) uint64 { return loadVal })
+		program.Eval(u.inst, u.pc, srcs[0], srcs[1], loadVal, &u.out)
 	case u.isStore():
 		// STA: only the address half executes here; the data half is
 		// captured by captureStoreData when its producer completes.
@@ -663,7 +663,7 @@ func (c *CPU) issue(u *uop) {
 		u.out = program.Outcome{EA: u.ea, NextPC: u.pc + 1}
 		u.doneAt = c.cycle + lat
 	default:
-		u.out = program.Eval(u.inst, u.pc, srcs[:], nil)
+		program.Eval(u.inst, u.pc, srcs[0], srcs[1], 0, &u.out)
 		u.doneAt = c.cycle + lat
 	}
 	u.actualNext = u.out.NextPC
@@ -941,11 +941,7 @@ func (c *CPU) commitStage() {
 			c.traceUop(u, false)
 		}
 		if c.OnCommit != nil {
-			c.OnCommit(program.Record{
-				PC: u.pc, Op: u.inst.Op, DstVals: u.out.DstVals,
-				EA: u.out.EA, StoreVal: u.out.StoreVal,
-				Taken: u.out.Taken, NextPC: u.actualNext,
-			})
+			c.OnCommit(program.Record{PC: u.pc, Op: u.inst.Op, Outcome: u.out})
 		}
 		if c.ev != nil {
 			c.ev.putUop(u)

@@ -281,6 +281,7 @@ func TestLedgerEventOrdering(t *testing.T) {
 	// fractions summing to 1.
 	prog := workload.Micro(31).Generate()
 	cpu := New(testConfig(), prog)
+	cpu.Engine.TrackLifetimes()
 	cpu.Run(20000)
 	inUse, unused, verified := cpu.Engine.Ledger.StateFractions()
 	sum := inUse + unused + verified
@@ -298,6 +299,7 @@ func TestAtomicRatioPlausible(t *testing.T) {
 	// SPECint).
 	prog := workload.Micro(37).Generate()
 	cpu := New(testConfig().WithScheme(config.SchemeATR), prog)
+	cpu.Engine.TrackLifetimes()
 	cpu.Run(30000)
 	_, _, atomic := cpu.Engine.Ledger.RegionFractions()
 	if atomic < 0.02 || atomic > 0.8 {

@@ -132,50 +132,46 @@ type Outcome struct {
 	NextPC   uint64 // architectural next PC
 }
 
-// Eval executes in at pc with the given source values, using load to read
-// memory (loads only). It is the single definition of the ISA's semantics,
-// shared by the in-order emulator and the out-of-order execute stage; src
-// values are looked up positionally (srcs[i] corresponds to in.Srcs[i], and
-// must be present for every valid source).
-func Eval(in *isa.Inst, pc uint64, srcs []uint64, load func(addr uint64) uint64) Outcome {
-	out := Outcome{NextPC: pc + 1}
-	s := func(i int) uint64 {
-		if i < len(srcs) && in.Srcs[i].Valid() {
-			return srcs[i]
-		}
-		return 0
-	}
+// Eval executes in at pc and writes the outcome to *out, overwriting it
+// entirely. It is the single definition of the ISA's semantics, shared by
+// the in-order emulator and the out-of-order execute stage. s0 and s1 are
+// the values of in.Srcs[0] and in.Srcs[1]; the caller passes 0 for an
+// invalid slot, and Eval reads no other source. loaded is the word a load
+// reads at EffAddr(in, s0) (ignored by every other op): the caller reads
+// memory, or forwards from a store, itself.
+func Eval(in *isa.Inst, pc, s0, s1, loaded uint64, out *Outcome) {
+	*out = Outcome{NextPC: pc + 1}
 	switch in.Op {
 	case isa.OpNop:
 	case isa.OpALU:
-		out.DstVals[0] = s(0) + s(1) + uint64(in.Imm)
+		out.DstVals[0] = s0 + s1 + uint64(in.Imm)
 		if in.Dsts[1].Valid() {
 			// x86-style dual destination: the ALU also produces a
 			// flag word derived from its result.
 			out.DstVals[1] = cmpFlags(out.DstVals[0], 0)
 		}
 	case isa.OpLEA:
-		out.DstVals[0] = s(0) + s(1)<<3 + uint64(in.Imm)
+		out.DstVals[0] = s0 + s1<<3 + uint64(in.Imm)
 	case isa.OpMove, isa.OpFPMove:
-		out.DstVals[0] = s(0)
+		out.DstVals[0] = s0
 	case isa.OpMul:
-		out.DstVals[0] = Mix(s(0) ^ bits.RotateLeft64(s(1), 17) ^ uint64(in.Imm))
+		out.DstVals[0] = Mix(s0 ^ bits.RotateLeft64(s1, 17) ^ uint64(in.Imm))
 	case isa.OpDiv:
-		out.DstVals[0] = s(0)/(s(1)|1) + uint64(in.Imm)
+		out.DstVals[0] = s0/(s1|1) + uint64(in.Imm)
 	case isa.OpCmp:
-		out.DstVals[0] = cmpFlags(s(0), s(1)+uint64(in.Imm))
+		out.DstVals[0] = cmpFlags(s0, s1+uint64(in.Imm))
 	case isa.OpLoad:
-		out.EA = EffAddr(in, s(0))
-		out.DstVals[0] = load(out.EA)
+		out.EA = EffAddr(in, s0)
+		out.DstVals[0] = loaded
 	case isa.OpStore:
-		out.EA = EffAddr(in, s(0))
-		out.StoreVal = s(1)
+		out.EA = EffAddr(in, s0)
+		out.StoreVal = s1
 	case isa.OpBranch:
-		flags := s(0)
+		flags := s0
 		if in.Dsts[0].Valid() {
 			// Fused compare-and-branch (TEST+JNZ style): computes
 			// flags from its operands and branches on them.
-			flags = cmpFlags(s(0), s(1)+uint64(in.Imm>>3))
+			flags = cmpFlags(s0, s1+uint64(in.Imm>>3))
 			out.DstVals[0] = flags
 		}
 		out.Taken = predTaken(in.Imm&7, flags)
@@ -191,26 +187,25 @@ func Eval(in *isa.Inst, pc uint64, srcs []uint64, load func(addr uint64) uint64)
 		out.NextPC = in.Target
 	case isa.OpJumpInd:
 		out.Taken = true
-		out.NextPC = indirectTarget(in, s(0))
+		out.NextPC = indirectTarget(in, s0)
 	case isa.OpCallInd:
 		out.Taken = true
 		out.DstVals[0] = pc + 1
-		out.NextPC = indirectTarget(in, s(0))
+		out.NextPC = indirectTarget(in, s0)
 	case isa.OpRet:
 		out.Taken = true
-		out.NextPC = s(0) // link value is the return address
+		out.NextPC = s0 // link value is the return address
 	case isa.OpFPAdd:
-		out.DstVals[0] = s(0) + s(1) + uint64(in.Imm)
+		out.DstVals[0] = s0 + s1 + uint64(in.Imm)
 	case isa.OpFPMul:
-		out.DstVals[0] = Mix(s(0) ^ s(1) ^ uint64(in.Imm))
+		out.DstVals[0] = Mix(s0 ^ s1 ^ uint64(in.Imm))
 	case isa.OpFPDiv:
-		out.DstVals[0] = bits.RotateLeft64(s(0), 9) ^ s(1) + uint64(in.Imm)
+		out.DstVals[0] = bits.RotateLeft64(s0, 9) ^ s1 + uint64(in.Imm)
 	case isa.OpCvt:
-		out.DstVals[0] = bits.RotateLeft64(s(0), 32) ^ uint64(in.Imm)
+		out.DstVals[0] = bits.RotateLeft64(s0, 32) ^ uint64(in.Imm)
 	default:
 		panic(fmt.Sprintf("program: Eval of unknown op %v", in.Op))
 	}
-	return out
 }
 
 func indirectTarget(in *isa.Inst, sel uint64) uint64 {
@@ -355,15 +350,12 @@ func NewOverlay(base *Memory) *Memory {
 }
 
 // Record is one architecturally committed instruction, used to compare the
-// out-of-order core's committed stream against the in-order emulator.
+// out-of-order core's committed stream against the in-order emulator: the
+// op at PC and the Outcome Eval gave it.
 type Record struct {
-	PC       uint64
-	Op       isa.Op
-	DstVals  [isa.MaxDsts]uint64
-	EA       uint64
-	StoreVal uint64
-	Taken    bool
-	NextPC   uint64
+	PC uint64
+	Op isa.Op
+	Outcome
 }
 
 // Emulator executes a Program in order, one instruction per Step. It is the
@@ -408,24 +400,27 @@ func (e *Emulator) StepInto(rec *Record) bool {
 		return false
 	}
 	in := e.Prog.At(e.PC)
-	var srcs [isa.MaxSrcs]uint64
-	for i, r := range in.Srcs {
-		if r.Valid() {
-			srcs[i] = e.Regs[r]
-		}
+	var s0, s1, loaded uint64
+	if r := in.Srcs[0]; r.Valid() {
+		s0 = e.Regs[r]
 	}
-	out := Eval(in, e.PC, srcs[:], e.Mem.Read)
+	if r := in.Srcs[1]; r.Valid() {
+		s1 = e.Regs[r]
+	}
+	if in.Op == isa.OpLoad {
+		loaded = e.Mem.Read(EffAddr(in, s0))
+	}
+	rec.PC, rec.Op = e.PC, in.Op
+	Eval(in, e.PC, s0, s1, loaded, &rec.Outcome)
 	for i, r := range in.Dsts {
 		if r.Valid() {
-			e.Regs[r] = out.DstVals[i]
+			e.Regs[r] = rec.DstVals[i]
 		}
 	}
 	if in.Op == isa.OpStore {
-		e.Mem.Write(out.EA, out.StoreVal)
+		e.Mem.Write(rec.EA, rec.StoreVal)
 	}
-	rec.PC, rec.Op, rec.DstVals = e.PC, in.Op, out.DstVals
-	rec.EA, rec.StoreVal, rec.Taken, rec.NextPC = out.EA, out.StoreVal, out.Taken, out.NextPC
-	e.PC = out.NextPC
+	e.PC = rec.NextPC
 	e.steps++
 	if !e.Prog.ValidPC(e.PC) {
 		e.Done = true

@@ -295,9 +295,12 @@ func TestEvalPure(t *testing.T) {
 		in.Imm = imm
 		in.Target = 1
 		in.Span = 128
-		load := func(addr uint64) uint64 { return Mix(addr) }
-		o1 := Eval(&in, 10, []uint64{a, b}, load)
-		o2 := Eval(&in, 10, []uint64{a, b}, load)
+		loaded := Mix(EffAddr(&in, a))
+		// The second outcome starts dirty: Eval must overwrite all of it.
+		var o1 Outcome
+		o2 := Outcome{DstVals: [isa.MaxDsts]uint64{^a, ^b}, EA: ^a, StoreVal: ^b, Taken: true, NextPC: ^uint64(0)}
+		Eval(&in, 10, a, b, loaded, &o1)
+		Eval(&in, 10, a, b, loaded, &o2)
 		return o1 == o2
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -311,7 +314,8 @@ func TestBranchNextPC(t *testing.T) {
 		in := isa.NewInst(isa.OpBranch, nil, []isa.Reg{isa.Flags})
 		in.Imm = int64(pred % numPreds)
 		in.Target = 77
-		out := Eval(&in, 5, []uint64{flags}, nil)
+		var out Outcome
+		Eval(&in, 5, flags, 0, 0, &out)
 		if out.Taken {
 			return out.NextPC == 77
 		}

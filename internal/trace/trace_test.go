@@ -200,7 +200,7 @@ func TestAnalyzerAgreesWithEngine(t *testing.T) {
 }
 
 func TestFromProgram(t *testing.T) {
-	pr := program.Record{PC: 9, Op: isa.OpLoad, EA: 64, Taken: false}
+	pr := program.Record{PC: 9, Op: isa.OpLoad, Outcome: program.Outcome{EA: 64}}
 	r := FromProgram(pr)
 	if r.PC != 9 || r.Op != isa.OpLoad || r.EA != 64 {
 		t.Errorf("FromProgram = %+v", r)
