@@ -63,6 +63,11 @@ func TestSampleModeFlagConflicts(t *testing.T) {
 			want: "-sample-mode is incompatible with litmus",
 		},
 		{
+			name: "non-canonical",
+			args: []string{"-sample-mode", "systematic:10000/2000/0500"},
+			want: "canonical",
+		},
+		{
 			name: "zero-window",
 			args: []string{"-sample-mode", "systematic:10000/0/500"},
 			want: "window",

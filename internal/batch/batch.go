@@ -11,10 +11,12 @@
 // temporal locality.
 //
 // Bit-identity is by construction: lanes never communicate, and
-// pipeline.RunFor produces the same cycle-for-cycle state sequence no
-// matter how the budget slices a run, so a lane's Result is byte-identical
-// to running its configuration alone with pipeline.Run. TestBatchMatchesSolo
-// enforces this across schemes, register-file sizes, and schedulers.
+// pipeline.RunFor reaches identical state at every cycle it steps and at
+// every slice boundary no matter how the budget slices a run (its clock
+// jumps over quiescent cycles, but never past the end of a slice), so a
+// lane's Result is byte-identical to running its configuration alone with
+// pipeline.Run. TestBatchMatchesSolo enforces this across schemes,
+// register-file sizes, and schedulers.
 package batch
 
 import (

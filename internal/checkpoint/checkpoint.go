@@ -33,13 +33,29 @@ type Plan struct {
 	Warmup uint64 // detailed warm-up prefix, statistics discarded
 }
 
+// ModeError reports a sample mode that ParseMode or Plan.Validate rejects.
+type ModeError struct {
+	Mode   string // the rejected spelling
+	Reason string // what is wrong with it
+}
+
+func (e *ModeError) Error() string {
+	return fmt.Sprintf("checkpoint: bad sample mode %q: %s", e.Mode, e.Reason)
+}
+
 // ParseMode parses a -sample-mode string of the form
-// "systematic:<period>/<window>/<warmup>".
+// "systematic:<period>/<window>/<warmup>". Only the canonical spelling
+// (Plan.String) is accepted: no trailing text, spaces, signs or leading
+// zeros, so that one plan has exactly one spelling and so one run key. Every
+// rejection is a *ModeError.
 func ParseMode(s string) (Plan, error) {
 	var p Plan
 	n, err := fmt.Sscanf(s, "systematic:%d/%d/%d", &p.Period, &p.Window, &p.Warmup)
 	if err != nil || n != 3 {
-		return Plan{}, fmt.Errorf("checkpoint: bad sample mode %q: want systematic:<period>/<window>/<warmup>", s)
+		return Plan{}, &ModeError{Mode: s, Reason: "want systematic:<period>/<window>/<warmup>"}
+	}
+	if c := p.String(); c != s {
+		return Plan{}, &ModeError{Mode: s, Reason: "not in canonical form " + c}
 	}
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
@@ -52,14 +68,14 @@ func (p Plan) String() string {
 	return fmt.Sprintf("systematic:%d/%d/%d", p.Period, p.Window, p.Warmup)
 }
 
-// Validate checks the schedule is realizable.
+// Validate checks the schedule is realizable. It compares without adding
+// Warmup and Window, which could wrap around.
 func (p Plan) Validate() error {
-	if p.Window < 1 {
-		return fmt.Errorf("checkpoint: window must be >= 1 (got %d)", p.Window)
-	}
-	if p.Warmup+p.Window > p.Period {
-		return fmt.Errorf("checkpoint: warmup+window (%d) must fit in the period (%d)",
-			p.Warmup+p.Window, p.Period)
+	switch {
+	case p.Window < 1:
+		return &ModeError{Mode: p.String(), Reason: "window must be >= 1"}
+	case p.Window > p.Period || p.Warmup > p.Period-p.Window:
+		return &ModeError{Mode: p.String(), Reason: "warmup+window must fit in the period"}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -38,9 +39,34 @@ func TestParseMode(t *testing.T) {
 		"systematic:1000/0/0",      // empty window
 		"random:1000/100/10",
 		"systematic:a/b/c",
+		"systematic:1000/200/50/junk", // trailing text
+		"systematic:1000/200/50 ",
+		"systematic: 1000/200/50", // space after the colon
+		"systematic:1000/ 200/50",
+		"systematic:01000/200/50", // leading zeros
+		"systematic:1000/200/050",
+		"systematic:+1000/200/50",
+		"systematic:-1000/200/50",
+		"Systematic:1000/200/50",
+		"systematic:100000/18446744073709551615/1", // warmup+window wraps
+		"systematic:100000/1/18446744073709551615",
+		"systematic:18446744073709551615/18446744073709551615/1",
+		"systematic:100000/18446744073709551616/1", // out of range
 	} {
-		if _, err := ParseMode(bad); err == nil {
-			t.Errorf("ParseMode(%q): expected error", bad)
+		_, err := ParseMode(bad)
+		var me *ModeError
+		if !errors.As(err, &me) || me.Mode != bad {
+			t.Errorf("ParseMode(%q) = %v, want a *ModeError naming it", bad, err)
+		}
+	}
+	for _, good := range []string{
+		"systematic:1000/200/50",
+		"systematic:1000/1000/0", // the window fills the period
+		"systematic:18446744073709551615/1/18446744073709551614",
+	} {
+		p, err := ParseMode(good)
+		if err != nil || p.String() != good {
+			t.Errorf("ParseMode(%q) = %v, %v", good, p, err)
 		}
 	}
 }

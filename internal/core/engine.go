@@ -573,8 +573,9 @@ func (e *Engine) ProducerCompleted(a Alloc, cycle uint64) {
 }
 
 // Tick advances the pipelined redefine-signal queue (Fig 13): claims made
-// RedefineDelay cycles ago become visible now.
-func (e *Engine) Tick(cycle uint64) {
+// RedefineDelay cycles ago become visible now. It reports whether any
+// signal fell due this cycle.
+func (e *Engine) Tick(cycle uint64) bool {
 	n := 0
 	for _, d := range e.delayQ {
 		if d.due > cycle {
@@ -589,7 +590,22 @@ func (e *Engine) Tick(cycle uint64) {
 			e.tryATRRelease(d.a, cycle)
 		}
 	}
+	fired := n < len(e.delayQ)
 	e.delayQ = e.delayQ[:n]
+	return fired
+}
+
+// NextRedefineDue returns the earliest cycle at which Tick has a delayed
+// redefine signal to deliver, and false when none is queued.
+func (e *Engine) NextRedefineDue() (uint64, bool) {
+	if len(e.delayQ) == 0 {
+		return 0, false
+	}
+	due := e.delayQ[0].due
+	for _, d := range e.delayQ[1:] {
+		due = min(due, d.due)
+	}
+	return due, true
 }
 
 // tryATRRelease frees a claimed register once it is redefined and fully

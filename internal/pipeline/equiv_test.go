@@ -3,53 +3,129 @@ package pipeline
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"testing"
 
 	"atr/internal/config"
 	"atr/internal/obs"
+	"atr/internal/power"
 	"atr/internal/program"
 	"atr/internal/workload"
 )
 
-// runSched executes prog under cfg with the given scheduler implementation,
-// with or without lifetime accounting, and returns the run summary, the full
-// counter dump (pipeline and release engine), and a digest of the complete
-// JSONL event trace (uop events and release events). A run with lifetimes
-// must also have recorded some.
-func runSched(t *testing.T, cfg config.Config, prog *program.Program, n uint64, kind SchedulerKind, lifetimes bool) (Result, string, string) {
+// schedRun is everything two runs of one configuration are compared on.
+type schedRun struct {
+	res      Result
+	counters string         // pipeline and release-engine counter dumps
+	digest   string         // SHA-256 of the complete JSONL event trace
+	activity power.Activity // the power model's event counts
+	samples  []obs.Sample   // interval series; nil without a sampler
+	bounds   []WindowStats  // counters at each slice boundary; nil unsliced
+	skipped  uint64         // cycles the clock jumped instead of stepping
+}
+
+// runOpts selects how runSched drives one run.
+type runOpts struct {
+	kind      SchedulerKind
+	lifetimes bool   // keep the register-lifetime ledger
+	sample    uint64 // sampler interval in cycles; 0 attaches no sampler
+	slice     uint64 // RunFor cycle budget per call; 0 runs unsliced
+}
+
+// runSched executes prog under cfg as o selects, with an event tracer
+// attached, and returns the run summary, the full counter dump (pipeline and
+// release engine), a digest of the complete JSONL event trace (uop events
+// and release events), the power model's activity counts and the sample
+// series. A run with lifetimes must also have recorded some, and a sliced
+// run must end every unfinished slice exactly its budget later.
+func runSched(t *testing.T, cfg config.Config, prog *program.Program, n uint64, o runOpts) schedRun {
 	t.Helper()
 	h := sha256.New()
-	cpu := NewWithScheduler(cfg, prog, kind)
-	if lifetimes {
+	cpu := NewWithScheduler(cfg, prog, o.kind)
+	if o.lifetimes {
 		cpu.Engine.TrackLifetimes()
 	}
-	cpu.Observe(&obs.Observer{Tracer: obs.NewTracer(h, nil)})
-	res := cpu.Run(n)
+	ob := &obs.Observer{Tracer: obs.NewTracer(h, nil)}
+	if o.sample > 0 {
+		ob.Sampler = obs.NewSampler(o.sample)
+	}
+	cpu.Observe(ob)
+	var res Result
+	var bounds []WindowStats
+	if o.slice == 0 {
+		res = cpu.Run(n)
+	} else {
+		for start := cpu.cycle; !cpu.RunFor(n, o.slice); start = cpu.cycle {
+			if cpu.cycle-start != o.slice {
+				t.Fatalf("a %d-cycle RunFor slice advanced %d cycles", o.slice, cpu.cycle-start)
+			}
+			bounds = append(bounds, cpu.WindowStats())
+		}
+		res = cpu.Finish()
+	}
+	if err := ob.Tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if err := cpu.Engine.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if lifetimes && cpu.Engine.Ledger.Completed() == 0 {
+	if o.lifetimes && cpu.Engine.Ledger.Completed() == 0 {
 		t.Fatal("lifetime accounting on, but no lifetime completed")
 	}
-	return res, cpu.Stats.String() + cpu.Engine.Stats.String(), hex.EncodeToString(h.Sum(nil))
+	r := schedRun{
+		res:      res,
+		counters: cpu.Stats.String() + cpu.Engine.Stats.String(),
+		digest:   hex.EncodeToString(h.Sum(nil)),
+		activity: cpu.Activity(),
+		bounds:   bounds,
+		skipped:  cpu.skipped,
+	}
+	if ob.Sampler != nil {
+		r.samples = ob.Sampler.Samples()
+	}
+	return r
 }
 
-// compareSchedulers asserts that the event scheduler is bit-identical to the
-// reference scan scheduler for one configuration: same Result, same counter
-// set (which includes release.atr/er/commit/flush, atr.claims, rename.alloc,
-// and lsq.forwards), and the same event trace byte-for-byte.
-func compareSchedulers(t *testing.T, name string, cfg config.Config, prog *program.Program, n uint64) {
+// compareRuns asserts that run a is bit-identical to run b: same Result,
+// same counter set (which includes release.atr/er/commit/flush, atr.claims,
+// rename.alloc, and lsq.forwards), the same event trace byte-for-byte, the
+// same activity counts and the same sample series.
+func compareRuns(t *testing.T, name, aName, bName string, a, b schedRun) {
 	t.Helper()
-	evRes, evCtr, evDig := runSched(t, cfg, prog, n, SchedulerEvent, false)
-	scRes, scCtr, scDig := runSched(t, cfg, prog, n, SchedulerScan, false)
-	if evRes != scRes {
-		t.Errorf("%s: Result diverged\n event: %+v\n scan:  %+v", name, evRes, scRes)
+	if a.res != b.res {
+		t.Errorf("%s: Result diverged\n %s: %+v\n %s: %+v", name, aName, a.res, bName, b.res)
 	}
-	if evCtr != scCtr {
-		t.Errorf("%s: counters diverged\n event: %s\n scan:  %s", name, evCtr, scCtr)
+	if a.counters != b.counters {
+		t.Errorf("%s: counters diverged\n %s: %s\n %s: %s", name, aName, a.counters, bName, b.counters)
 	}
-	if evDig != scDig {
-		t.Errorf("%s: trace digest diverged (event %s != scan %s)", name, evDig, scDig)
+	if a.digest != b.digest {
+		t.Errorf("%s: trace digest diverged (%s %s != %s %s)", name, aName, a.digest, bName, b.digest)
+	}
+	if a.activity != b.activity {
+		t.Errorf("%s: activity diverged\n %s: %+v\n %s: %+v", name, aName, a.activity, bName, b.activity)
+	}
+	if !slices.Equal(a.samples, b.samples) {
+		t.Errorf("%s: sample series diverged (%s %d samples, %s %d)", name, aName, len(a.samples), bName, len(b.samples))
+	}
+}
+
+// compareSchedulers asserts that the event scheduler, whose clock jumps
+// over quiescent cycles, is bit-identical to the reference scan scheduler,
+// which steps every cycle, for one configuration driven as o selects (o's
+// kind is ignored). The scan run is always unsliced. The event run must
+// have jumped, so that no case passes vacuously.
+func compareSchedulers(t *testing.T, name string, cfg config.Config, prog *program.Program, n uint64, o runOpts) {
+	t.Helper()
+	o.kind = SchedulerEvent
+	ev := runSched(t, cfg, prog, n, o)
+	o.kind, o.slice = SchedulerScan, 0
+	sc := runSched(t, cfg, prog, n, o)
+	compareRuns(t, name, "event", "scan", ev, sc)
+	if ev.skipped == 0 {
+		t.Errorf("%s: the event run never jumped its clock", name)
+	}
+	if sc.skipped != 0 {
+		t.Errorf("%s: the scan run jumped %d cycles", name, sc.skipped)
 	}
 }
 
@@ -72,7 +148,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 					if walk {
 						name = scheme.String() + "/walk"
 					}
-					compareSchedulers(t, name, cfg, prog, instrs)
+					compareSchedulers(t, name, cfg, prog, instrs, runOpts{})
 				}
 			}
 		})
@@ -90,7 +166,7 @@ func TestSchedulerEquivalenceLitmus(t *testing.T) {
 			t.Parallel()
 			prog := p.Generate()
 			for _, scheme := range []config.ReleaseScheme{config.SchemeBaseline, config.SchemeCombined} {
-				compareSchedulers(t, scheme.String(), testConfig().WithScheme(scheme), prog, 2500)
+				compareSchedulers(t, scheme.String(), testConfig().WithScheme(scheme), prog, 2500, runOpts{})
 			}
 		})
 	}
@@ -121,7 +197,7 @@ func TestSchedulerEquivalenceInterrupts(t *testing.T) {
 					if mode == config.InterruptDrain {
 						name = scheme.String() + "/drain"
 					}
-					compareSchedulers(t, name, cfg, prog, 3000)
+					compareSchedulers(t, name, cfg, prog, 3000, runOpts{})
 				}
 			}
 		})
@@ -129,30 +205,49 @@ func TestSchedulerEquivalenceInterrupts(t *testing.T) {
 }
 
 // TestSteadyStateZeroAlloc verifies the tentpole's allocation goal: once
-// warm, stepping the event-driven pipeline allocates nothing — uops, wait
-// list entries, checkpoints, and (when tracked) lifetime records all
-// recycle through free lists.
+// warm, the event-driven pipeline allocates nothing — uops, wait list
+// entries, checkpoints, and (when tracked) lifetime records all recycle
+// through free lists. It drives the pipeline both by step() and through
+// RunFor, the loop every caller uses, whose quiescence checks and clock
+// jumps must not allocate either.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	p, _ := workload.ByName("gcc")
 	prog := p.Generate()
-	for _, lifetimes := range []bool{false, true} {
-		cpu := New(testConfig(), prog)
-		if lifetimes {
-			cpu.Engine.TrackLifetimes()
-		}
-		for i := 0; i < 250_000; i++ {
-			if cpu.robEmptyAndHalted() {
-				t.Fatal("program halted during warmup")
-			}
-			cpu.step()
-		}
-		avg := testing.AllocsPerRun(10, func() {
-			for i := 0; i < 2_000; i++ {
+	drives := []struct {
+		name string
+		run  func(cpu *CPU, cycles int)
+	}{
+		{"step", func(cpu *CPU, cycles int) {
+			for i := 0; i < cycles; i++ {
 				cpu.step()
 			}
-		})
-		if avg > 1 { // tolerate a stray map-growth rehash, nothing per-cycle
-			t.Errorf("lifetimes %v: steady-state allocations: %.2f per 2000 cycles, want 0", lifetimes, avg)
+		}},
+		{"RunFor", func(cpu *CPU, cycles int) {
+			if cpu.RunFor(^uint64(0), uint64(cycles)) {
+				t.Fatal("program halted during measurement")
+			}
+		}},
+	}
+	for _, d := range drives {
+		for _, lifetimes := range []bool{false, true} {
+			cpu := New(testConfig(), prog)
+			if lifetimes {
+				cpu.Engine.TrackLifetimes()
+			}
+			for i := 0; i < 250_000; i++ {
+				if cpu.robEmptyAndHalted() {
+					t.Fatal("program halted during warmup")
+				}
+				cpu.step()
+			}
+			skipped := cpu.skipped
+			avg := testing.AllocsPerRun(10, func() { d.run(cpu, 2_000) })
+			if avg > 1 { // tolerate a stray map-growth rehash, nothing per-cycle
+				t.Errorf("%s, lifetimes %v: steady-state allocations: %.2f per 2000 cycles, want 0", d.name, lifetimes, avg)
+			}
+			if d.name == "RunFor" && cpu.skipped == skipped {
+				t.Errorf("lifetimes %v: RunFor never jumped its clock while measured", lifetimes)
+			}
 		}
 	}
 }
@@ -162,17 +257,24 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 // same counters and the same event trace as one that does not.
 func compareLifetimes(t *testing.T, name string, cfg config.Config, prog *program.Program, n uint64) {
 	t.Helper()
-	offRes, offCtr, offDig := runSched(t, cfg, prog, n, SchedulerEvent, false)
-	onRes, onCtr, onDig := runSched(t, cfg, prog, n, SchedulerEvent, true)
-	if onRes != offRes {
-		t.Errorf("%s: Result diverged\n lifetimes on:  %+v\n lifetimes off: %+v", name, onRes, offRes)
-	}
-	if onCtr != offCtr {
-		t.Errorf("%s: counters diverged\n lifetimes on:  %s\n lifetimes off: %s", name, onCtr, offCtr)
-	}
-	if onDig != offDig {
-		t.Errorf("%s: trace digest diverged (lifetimes on %s != off %s)", name, onDig, offDig)
-	}
+	off := runSched(t, cfg, prog, n, runOpts{})
+	on := runSched(t, cfg, prog, n, runOpts{lifetimes: true})
+	compareRuns(t, name, "lifetimes on", "lifetimes off", on, off)
+}
+
+// variant is a configuration change applied on top of testConfig.
+type variant struct {
+	name string
+	set  func(*config.Config)
+}
+
+// pathVariants have release or recovery paths of their own, each with its
+// own timing: move elimination, a pipelined redefine signal (delivered by
+// Engine.Tick) and a checkpoint budget (recovery by forward replay).
+var pathVariants = []variant{
+	{"moveelim", func(c *config.Config) { c.MoveElimination = true }},
+	{"delay2", func(c *config.Config) { c.RedefineDelay = 2 }},
+	{"budget2", func(c *config.Config) { c.CheckpointBudget = 2 }},
 }
 
 // TestLifetimeParity: every benchmark profile under every release scheme,
@@ -181,22 +283,16 @@ func compareLifetimes(t *testing.T, name string, cfg config.Config, prog *progra
 // signal and a checkpoint budget — runs bit-identically with lifetime
 // accounting on and off.
 func TestLifetimeParity(t *testing.T) {
-	variants := []struct {
-		name string
-		set  func(*config.Config)
-	}{
+	variants := append([]variant{
 		{"checkpoint", func(c *config.Config) {}},
 		{"walk", func(c *config.Config) { c.WalkRecovery = true }},
-		{"moveelim", func(c *config.Config) { c.MoveElimination = true }},
 		{"drain", func(c *config.Config) {
 			c.InterruptMode, c.InterruptInterval, c.InterruptCost = config.InterruptDrain, 500, 40
 		}},
 		{"flush", func(c *config.Config) {
 			c.InterruptMode, c.InterruptInterval, c.InterruptCost = config.InterruptFlush, 500, 40
 		}},
-		{"delay2", func(c *config.Config) { c.RedefineDelay = 2 }},
-		{"budget2", func(c *config.Config) { c.CheckpointBudget = 2 }},
-	}
+	}, pathVariants...)
 	for _, p := range workload.Profiles() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {

@@ -83,6 +83,13 @@ type CPU struct {
 	runStuck      uint64
 	runHalted     bool
 
+	// acts counts state-changing stage actions; a step that leaves it
+	// unchanged was quiescent, and RunFor may jump the clock over the
+	// quiescent cycles that follow (horizon.go). skipped counts the cycles
+	// jumped rather than stepped.
+	acts    uint64
+	skipped uint64
+
 	// Exceptions and interrupts.
 	faulted          map[uint64]bool // PCs whose one-shot fault already fired
 	pendingInterrupt bool
@@ -245,13 +252,23 @@ func (c *CPU) Run(maxInstr uint64) Result {
 	return c.Finish()
 }
 
+// stuckLimit is the deadlock watchdog: RunFor panics once this many
+// consecutive cycles pass without a commit.
+const stuckLimit = 1_000_000
+
 // RunFor advances the simulation by at most budget cycles, stopping early
 // once maxInstr instructions have committed or the program halts. It
 // returns true when the run is finished (target reached or halted) and
-// false when only the cycle budget expired — call again to continue. The
-// cycle-for-cycle state sequence is identical no matter how the budget
-// slices the run, which is what lets the batch executor interleave lanes
-// without perturbing a single bit of any lane's result.
+// false when only the cycle budget expired — call again to continue.
+//
+// With the event scheduler, a step that changes no machine state lets
+// RunFor jump the clock to the next cycle at which any stage can act,
+// crediting the per-cycle counters for the span (horizon.go). The machine
+// state at every cycle that is stepped, and at every slice boundary, is
+// identical to a run that steps every cycle, no matter how the budget
+// slices the run: a jump never crosses the end of a slice. That is what
+// lets the batch executor interleave lanes without perturbing a single bit
+// of any lane's result.
 func (c *CPU) RunFor(maxInstr, budget uint64) bool {
 	for c.committed < maxInstr {
 		if c.robEmptyAndHalted() {
@@ -262,10 +279,11 @@ func (c *CPU) RunFor(maxInstr, budget uint64) bool {
 			return false
 		}
 		budget--
+		acts, stalls := c.acts, c.renameStall
 		c.step()
 		if c.committed == c.runLastCommit {
 			c.runStuck++
-			if c.runStuck > 1_000_000 {
+			if c.runStuck > stuckLimit {
 				panic(fmt.Sprintf("pipeline: no commit progress for 1M cycles at cycle %d (pc=%d hold=%d rob=%d dq=%d inflight=%d pending=%v open=%d free=%d committed=%d)",
 					c.cycle, c.fetchPC, c.fetchHold, c.rob.len(), c.dqLen(),
 					c.inflightCount(), c.pendingInterrupt, c.Engine.OpenRegions(),
@@ -274,6 +292,9 @@ func (c *CPU) RunFor(maxInstr, budget uint64) bool {
 		} else {
 			c.runStuck = 0
 			c.runLastCommit = c.committed
+		}
+		if c.acts == acts && c.ev != nil {
+			budget -= c.skipQuiescent(budget, c.renameStall != stalls)
 		}
 	}
 	return true
@@ -400,7 +421,9 @@ func (c *CPU) step() {
 	}
 	c.renameStage()
 	c.fetchStage()
-	c.Engine.Tick(c.cycle)
+	if c.Engine.Tick(c.cycle) {
+		c.acts++
+	}
 	c.occupancySum += uint64(c.Engine.PhysRegsPerClass() - c.Engine.FreeCount(isa.ClassGPR))
 	c.cycle++
 	if c.obs != nil {
@@ -491,6 +514,7 @@ func (c *CPU) fetchStage() {
 			return // wrong-path garbage or program end: wait for redirect
 		}
 		done := c.Mem.AccessInst(pc*instBytes, c.cycle)
+		c.acts++
 		if done > c.cycle+uint64(c.cfg.L1I.Latency) {
 			// I-cache miss: stall fetch until the fill arrives (the
 			// line is now resident, so the retry hits).
@@ -539,6 +563,7 @@ func (c *CPU) renameStage() {
 			return
 		}
 		c.Engine.RenameInto(u.inst, c.cycle, &u.ren)
+		c.acts++
 		u.renamed = true
 		u.renCycle = c.cycle
 		for i := 0; i < isa.MaxDsts; i++ {
@@ -888,6 +913,7 @@ func (c *CPU) precommitStage() {
 			}
 		}
 		c.prePtr++
+		c.acts++
 	}
 }
 
@@ -901,6 +927,7 @@ func (c *CPU) commitStage() {
 			return
 		}
 		c.rob.popHead()
+		c.acts++
 		if c.prePtr > 0 {
 			c.prePtr--
 		}
@@ -954,6 +981,7 @@ func (c *CPU) commitStage() {
 // itself is flushed, architectural state is exactly the pre-fault state,
 // and fetch restarts at the faulting PC after the handler penalty.
 func (c *CPU) takeException(f *uop) {
+	c.acts++
 	c.exceptions++
 	c.faulted[f.pc] = true
 	pc := f.pc                // f is recycled by the squash below
@@ -991,6 +1019,7 @@ func (c *CPU) maybeInterrupt() {
 	if !c.pendingInterrupt {
 		return
 	}
+	c.acts++
 	switch c.cfg.InterruptMode {
 	case config.InterruptDrain:
 		// Fetch is held (see fetchStage); vector once the ROB drains.

@@ -220,7 +220,9 @@ func newEvsched(npregs, slabCap int) *evsched {
 }
 
 // getUop returns a zeroed slab uop. The slab index, the generation, and the
-// capacity of the per-uop slices survive the reset.
+// capacity of the per-uop slices survive the reset. The slot is zeroed in
+// place and the survivors written back, because a literal with fields set is
+// built on the stack and then copied in: one whole-uop copy per fetch.
 func (s *evsched) getUop() *uop {
 	n := len(s.freeIdx) - 1
 	if n < 0 {
@@ -232,7 +234,9 @@ func (s *evsched) getUop() *uop {
 	gen := u.gen
 	si, sd := u.stallIssue[:0], u.stallData[:0]
 	ras := u.pred.Checkpoint.RAS[:0]
-	*u = uop{idx: i, gen: gen, fwdNext: -1, stallIssue: si, stallData: sd}
+	*u = uop{}
+	u.idx, u.gen, u.fwdNext = i, gen, -1
+	u.stallIssue, u.stallData = si, sd
 	u.pred.Checkpoint.RAS = ras
 	return u
 }
@@ -436,6 +440,7 @@ func (c *CPU) evCompleteStage() {
 	if len(bucket) == 0 {
 		return
 	}
+	c.acts++
 	buf := s.doneBuf[:0]
 	for _, e := range bucket {
 		s.pending--
@@ -476,6 +481,7 @@ func (c *CPU) evCaptureStoreData() {
 		if u == nil || u.stDataRdy {
 			continue
 		}
+		c.acts++
 		if !u.inst.Srcs[1].Valid() {
 			u.stDataRdy = true
 			u.out.StoreVal = 0
@@ -543,6 +549,7 @@ func (c *CPU) evIssueStage() {
 			return
 		}
 		u := &s.slab[s.ready[kind].pop().idx]
+		c.acts++
 		if kind == 1 {
 			if blk := c.evLoadBlocker(u); blk != nil {
 				blk.stallIssue = append(blk.stallIssue, u.ref())

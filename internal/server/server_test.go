@@ -619,6 +619,7 @@ func TestBadSpecRejected(t *testing.T) {
 		{Kind: "run", Bench: "gcc", Scheme: "not-a-scheme"},
 		{Kind: "grid"}, // custom grid with no profiles
 		{Kind: "???"},
+		{Kind: "run", Bench: "gcc", Sample: "systematic:1000/200/50/junk"}, // not canonical
 	}
 	for i, spec := range cases {
 		if _, code, _ := trySubmit(t, hs.URL, spec, ""); code != http.StatusBadRequest {
