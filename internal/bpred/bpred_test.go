@@ -208,7 +208,7 @@ func TestRASSnapshotRestore(t *testing.T) {
 	r := NewRAS(8)
 	r.Push(1)
 	r.Push(2)
-	s := r.Snapshot()
+	s := r.AppendSnapshot(nil)
 	r.Pop()
 	r.Push(9)
 	r.Push(10)
@@ -356,7 +356,7 @@ func TestRASRestoreProperty(t *testing.T) {
 		r := NewRAS(8)
 		r.Push(11)
 		r.Push(22)
-		snap := r.Snapshot()
+		snap := r.AppendSnapshot(nil)
 		for _, op := range ops {
 			if op%2 == 0 {
 				r.Push(uint64(op))

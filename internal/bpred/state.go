@@ -1,182 +1,23 @@
 package bpred
 
-import (
-	"fmt"
+import "atr/internal/isa"
 
-	"atr/internal/isa"
-)
+// This file holds the warm-state side of sampled simulation: a functional
+// warming entry point (Warm) that applies the exact net training effect of
+// an in-order predict→resolve→recover sequence without building per-branch
+// checkpoints, and CopyFrom, which hands that warm state (TAGE tables, loop
+// predictor, statistical corrector, indirect tables, BTB, RAS, accuracy
+// counters) to a fresh detailed pipeline. Together they let a sampling
+// driver fast-forward millions of instructions while keeping the predictor
+// state bit-equal to what a detailed frontend would have accumulated in
+// order.
 
-// This file adds the warm-state half of checkpoint/restore: a serializable
-// deep copy of every prediction structure (TAGE tables, loop predictor,
-// statistical corrector, indirect tables, BTB, RAS, accuracy counters) and a
-// functional warming entry point (Warm) that applies the exact net training
-// effect of an in-order predict→resolve→recover sequence without building
-// per-branch checkpoints. Together they let a sampled-simulation driver
-// fast-forward millions of instructions while keeping the predictor state
-// bit-equal to what a detailed frontend would have accumulated in order.
-
-// TAGEEntry mirrors one tagged-table entry for serialization.
-type TAGEEntry struct {
-	Tag    uint16 `json:"t"`
-	Ctr    int8   `json:"c"`
-	Useful uint8  `json:"u"`
-}
-
-// TAGEState is a deep copy of the TAGE predictor's mutable state.
-type TAGEState struct {
-	Base   []int8        `json:"base"`
-	Tables [][]TAGEEntry `json:"tables"`
-	Hist   uint64        `json:"hist"`
-}
-
-// LoopEntry mirrors one loop-predictor entry for serialization.
-type LoopEntry struct {
-	Tag       uint16 `json:"t"`
-	TripCount uint16 `json:"n"`
-	Current   uint16 `json:"i"`
-	Conf      uint8  `json:"c"`
-	Valid     bool   `json:"v"`
-}
-
-// LoopState is a deep copy of the loop predictor's mutable state.
-type LoopState struct {
-	Entries   []LoopEntry `json:"entries"`
-	Overrides uint64      `json:"overrides"`
-	Correct   uint64      `json:"correct"`
-}
-
-// BTBState is a deep copy of a BTB's mutable state.
-type BTBState struct {
-	Tags    []uint64 `json:"tags"`
-	Targets []uint64 `json:"targets"`
-	Hits    uint64   `json:"hits"`
-	Misses  uint64   `json:"misses"`
-}
-
-// IndirectState is a deep copy of the indirect predictor's mutable state.
-type IndirectState struct {
-	HistTags    []uint64 `json:"hist_tags"`
-	HistTargets []uint64 `json:"hist_targets"`
-	Last        BTBState `json:"last"`
-}
-
-// State is the complete serializable warm state of a Predictor. Restoring it
-// into a predictor built from the same config reproduces future predictions
-// bit-exactly.
-type State struct {
-	Tage        TAGEState     `json:"tage"`
-	Loop        LoopState     `json:"loop"`
-	SC          [][]int8      `json:"sc"`
-	Ind         IndirectState `json:"ind"`
-	RAS         []uint64      `json:"ras"`
-	CondLookups uint64        `json:"cond_lookups"`
-	CondWrong   uint64        `json:"cond_wrong"`
-	IndLookups  uint64        `json:"ind_lookups"`
-	IndWrong    uint64        `json:"ind_wrong"`
-}
-
-// State deep-copies the predictor's mutable state.
-func (p *Predictor) State() *State {
-	s := &State{
-		Tage: TAGEState{
-			Base:   append([]int8(nil), p.Tage.base...),
-			Tables: make([][]TAGEEntry, len(p.Tage.tables)),
-			Hist:   p.Tage.hist.bits,
-		},
-		Loop: LoopState{
-			Entries:   make([]LoopEntry, len(p.Loop.entries)),
-			Overrides: p.Loop.overrides,
-			Correct:   p.Loop.correct,
-		},
-		SC: make([][]int8, len(p.SC.weights)),
-		Ind: IndirectState{
-			HistTags:    append([]uint64(nil), p.Indirect.histTags...),
-			HistTargets: append([]uint64(nil), p.Indirect.histTargets...),
-			Last: BTBState{
-				Tags:    append([]uint64(nil), p.Indirect.last.tags...),
-				Targets: append([]uint64(nil), p.Indirect.last.targets...),
-				Hits:    p.Indirect.last.hits,
-				Misses:  p.Indirect.last.misses,
-			},
-		},
-		RAS:         p.RAS.Snapshot(),
-		CondLookups: p.condLookups,
-		CondWrong:   p.condWrong,
-		IndLookups:  p.indLookups,
-		IndWrong:    p.indWrong,
-	}
-	for i, tbl := range p.Tage.tables {
-		out := make([]TAGEEntry, len(tbl))
-		for j, e := range tbl {
-			out[j] = TAGEEntry{Tag: e.tag, Ctr: e.ctr, Useful: e.useful}
-		}
-		s.Tage.Tables[i] = out
-	}
-	for i, e := range p.Loop.entries {
-		s.Loop.Entries[i] = LoopEntry{Tag: e.tag, TripCount: e.tripCount, Current: e.current, Conf: e.conf, Valid: e.valid}
-	}
-	for i, w := range p.SC.weights {
-		s.SC[i] = append([]int8(nil), w...)
-	}
-	return s
-}
-
-// Restore overwrites the predictor's mutable state from a snapshot taken on
-// a predictor with the same configuration. Shape mismatches (snapshot from a
-// differently sized predictor) are programmer errors and panic.
-func (p *Predictor) Restore(s *State) {
-	if len(s.Tage.Base) != len(p.Tage.base) || len(s.Tage.Tables) != len(p.Tage.tables) {
-		panic(fmt.Sprintf("bpred: Restore TAGE shape mismatch: %d/%d base, %d/%d tables",
-			len(s.Tage.Base), len(p.Tage.base), len(s.Tage.Tables), len(p.Tage.tables)))
-	}
-	copy(p.Tage.base, s.Tage.Base)
-	for i, tbl := range s.Tage.Tables {
-		if len(tbl) != len(p.Tage.tables[i]) {
-			panic("bpred: Restore TAGE table size mismatch")
-		}
-		for j, e := range tbl {
-			p.Tage.tables[i][j] = tageEntry{tag: e.Tag, ctr: e.Ctr, useful: e.Useful}
-		}
-	}
-	p.Tage.hist.bits = s.Tage.Hist
-	if len(s.Loop.Entries) != len(p.Loop.entries) {
-		panic("bpred: Restore loop table size mismatch")
-	}
-	for i, e := range s.Loop.Entries {
-		p.Loop.entries[i] = loopEntry{tag: e.Tag, tripCount: e.TripCount, current: e.Current, conf: e.Conf, valid: e.Valid}
-	}
-	p.Loop.overrides, p.Loop.correct = s.Loop.Overrides, s.Loop.Correct
-	if len(s.SC) != len(p.SC.weights) {
-		panic("bpred: Restore corrector shape mismatch")
-	}
-	for i, w := range s.SC {
-		if len(w) != len(p.SC.weights[i]) {
-			panic("bpred: Restore corrector table size mismatch")
-		}
-		copy(p.SC.weights[i], w)
-	}
-	if len(s.Ind.HistTags) != len(p.Indirect.histTags) ||
-		len(s.Ind.Last.Tags) != len(p.Indirect.last.tags) {
-		panic("bpred: Restore indirect table size mismatch")
-	}
-	copy(p.Indirect.histTags, s.Ind.HistTags)
-	copy(p.Indirect.histTargets, s.Ind.HistTargets)
-	copy(p.Indirect.last.tags, s.Ind.Last.Tags)
-	copy(p.Indirect.last.targets, s.Ind.Last.Targets)
-	p.Indirect.last.hits, p.Indirect.last.misses = s.Ind.Last.Hits, s.Ind.Last.Misses
-	if len(s.RAS) > cap(p.RAS.stack) {
-		panic("bpred: Restore RAS deeper than capacity")
-	}
-	p.RAS.Restore(s.RAS)
-	p.condLookups, p.condWrong = s.CondLookups, s.CondWrong
-	p.indLookups, p.indWrong = s.IndLookups, s.IndWrong
-}
-
-// CopyFrom overwrites p's mutable state with src's. Both predictors must be
-// built from the same configuration (it is the caller's contract, as with
-// Restore-after-State, but without materializing the serializable form — the
-// per-region fast path for a sampling driver that primes a fresh pipeline
-// from a live warmer many times per run).
+// CopyFrom overwrites p's mutable state with src's, sharing no backing
+// array with it. Both predictors must be built from the same configuration:
+// the geometry (masks, table sizes, history lengths) is not copied. A
+// sampling driver calls it once per detail window to prime a fresh pipeline
+// from its live warmer (TestCopyFromCoversEveryField classifies every
+// field).
 func (p *Predictor) CopyFrom(src *Predictor) {
 	copy(p.Tage.base, src.Tage.base)
 	for i := range src.Tage.tables {

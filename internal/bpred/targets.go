@@ -104,8 +104,7 @@ func (p *Indirect) Update(pc uint64, hist *GlobalHistory, target uint64) {
 // RAS is the return address stack. It is speculatively updated at fetch and
 // snapshot/restored on misprediction recovery.
 type RAS struct {
-	stack []uint64
-	top   int // number of valid entries; pushes wrap when full
+	stack []uint64 // valid entries, oldest first; pushes drop the oldest when full
 }
 
 // NewRAS creates a RAS with n entries.
@@ -141,15 +140,8 @@ func (r *RAS) Pop() (addr uint64, ok bool) {
 // Depth returns the number of valid entries.
 func (r *RAS) Depth() int { return len(r.stack) }
 
-// Snapshot copies the RAS state for misprediction recovery.
-func (r *RAS) Snapshot() []uint64 {
-	s := make([]uint64, len(r.stack))
-	copy(s, r.stack)
-	return s
-}
-
 // AppendSnapshot appends the RAS state to buf (reusing its capacity) and
-// returns it — the allocation-free Snapshot for pooled callers.
+// returns it, for misprediction recovery: pooled callers allocate nothing.
 func (r *RAS) AppendSnapshot(buf []uint64) []uint64 {
 	return append(buf, r.stack...)
 }

@@ -6,13 +6,13 @@
 // extrapolated from the window measurements with relative-error bars
 // computed from the across-window variance.
 //
-// The package also defines the serializable Checkpoint — architectural
-// state plus warm predictor/cache snapshots — that lets a detailed pipeline
-// be dropped into the middle of a program bit-exactly.
+// Every detail window is primed in process from the one live warmer: the
+// fresh pipeline takes the emulator's PC and registers, copies of the warm
+// predictor and cache structures, and a copy-on-write overlay of the
+// emulator's memory.
 package checkpoint
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -80,40 +80,6 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// Checkpoint is a complete restartable snapshot of a program mid-run:
-// architectural state plus the warm microarchitectural state a detailed
-// pipeline needs to behave as if it had executed the prefix itself.
-type Checkpoint struct {
-	Arch  program.ArchState `json:"arch"`
-	Bpred *bpred.State      `json:"bpred,omitempty"`
-	Cache *cache.HierState  `json:"cache,omitempty"`
-}
-
-// Capture snapshots the current state of an emulator and its warm
-// structures.
-func Capture(em *program.Emulator, pred *bpred.Predictor, mem *cache.Hierarchy) *Checkpoint {
-	cp := &Checkpoint{Arch: em.Checkpoint()}
-	if pred != nil {
-		cp.Bpred = pred.State()
-	}
-	if mem != nil {
-		cp.Cache = mem.State()
-	}
-	return cp
-}
-
-// Encode serializes the checkpoint to JSON.
-func (c *Checkpoint) Encode() ([]byte, error) { return json.Marshal(c) }
-
-// Decode deserializes a checkpoint produced by Encode.
-func Decode(data []byte) (*Checkpoint, error) {
-	var c Checkpoint
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("checkpoint: decode: %w", err)
-	}
-	return &c, nil
-}
-
 // warmer fast-forwards a program with the functional emulator while keeping
 // the predictor and cache hierarchy warm: every control instruction trains
 // the predictor with its in-order outcome, every memory access touches the
@@ -141,24 +107,15 @@ func newWarmer(prog *program.Program, cfg config.Config) *warmer {
 	}
 }
 
-// prime drops a freshly built CPU into the warmer's current position: warm
-// predictor/cache state is cloned structure-to-structure (RestoreLive) and
-// the memory image is a copy-on-write overlay over the warmer's memory —
-// O(1) setup regardless of working-set size — instead of the serializable
-// State/Snapshot forms, which would dominate the per-region cost. The
-// overlay contract holds because the driver never advances the warmer while
-// the window CPU is live. Capture/Encode remain the serializable path; prime
-// is the in-process fast path and produces the identical simulation
-// (TestPrimeMatchesCapture).
+// prime drops a freshly built CPU into the warmer's current position:
+// RestoreLive takes the emulator's PC and registers and copies the warm
+// predictor and cache state structure to structure, and the memory image is
+// a copy-on-write overlay over the warmer's memory, so setup is O(1) in the
+// working-set size. The overlay contract holds because the driver never
+// advances the warmer while the window CPU is live; the window's stores
+// stay in the overlay (TestPrimedWindowMatchesOracle).
 func (w *warmer) prime(cpu *pipeline.CPU) {
-	arch := program.ArchState{
-		PC:      w.em.PC,
-		Regs:    w.em.Regs,
-		MemSeed: w.em.Mem.Seed(),
-		Steps:   w.em.Steps(),
-		Done:    w.em.Done,
-	}
-	cpu.RestoreLive(&arch, w.pred, w.mem)
+	cpu.RestoreLive(w.em, w.pred, w.mem)
 	cpu.Data = program.NewOverlay(w.em.Mem)
 }
 

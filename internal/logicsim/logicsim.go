@@ -210,17 +210,6 @@ func (n *Netlist) Eval(inputs []bool) func(Wire) bool {
 	return func(w Wire) bool { return vals[w] }
 }
 
-// NumInputs returns the number of primary inputs.
-func (n *Netlist) NumInputs() int {
-	c := 0
-	for _, k := range n.kinds {
-		if k == GateInput {
-			c++
-		}
-	}
-	return c
-}
-
 // reduceOrSerial builds a linear OR chain (what a naive synthesis of
 // sequential RTL produces; depth grows linearly instead of logarithmically).
 func (n *Netlist) reduceOrSerial(ws []Wire) Wire {

@@ -7,58 +7,40 @@ import (
 	"atr/internal/program"
 )
 
-// This file is the pipeline-facing side of checkpoint/restore for sampled
-// simulation: priming a freshly built CPU with an architectural checkpoint
-// plus warm predictor/cache state, and reading the cumulative counters a
-// sampling driver needs to difference window statistics without calling
-// Finish (which finalizes the engine and may only run once).
+// This file is the pipeline-facing side of sampled simulation: priming a
+// freshly built CPU from a live warmer (its emulator plus warm predictor and
+// cache state), and reading the cumulative counters a sampling driver needs
+// to difference window statistics without calling Finish (which finalizes
+// the engine and may only run once).
 
 // InstBytes exposes the I-cache footprint of one micro-instruction so
 // external drivers can turn a PC into an instruction-fetch address exactly
 // the way fetchStage does.
 const InstBytes = instBytes
 
-// Restore primes a freshly constructed CPU (no cycles stepped yet) with an
-// architectural checkpoint and, optionally, warm predictor and cache state.
-// After Restore the CPU simulates forward from the checkpoint as if it had
-// been flushed and redirected there: the initial speculative rename table
-// still maps every architectural register to its initial physical register,
-// so the register file is written through Engine.Lookup. Calling Restore on
-// a CPU that has already stepped is a programmer error and panics.
-func (c *CPU) Restore(arch *program.ArchState, bp *bpred.State, hs *cache.HierState) {
-	c.restoreArch(arch)
-	c.Data = arch.NewMemory()
-	if bp != nil {
-		c.Pred.Restore(bp)
-	}
-	if hs != nil {
-		c.Mem.Restore(hs)
-	}
-}
-
-// RestoreLive primes a freshly constructed CPU directly from live warm
-// structures — the in-process fast path a sampling driver uses once per
-// region, where serializing the predictor and cache snapshots (Restore's
-// input) would dominate the per-region cost. The caller still owns c.Data:
-// RestoreLive leaves it untouched so the driver can install a cloned memory
-// image without an intermediate sorted snapshot.
-func (c *CPU) RestoreLive(arch *program.ArchState, pred *bpred.Predictor, hier *cache.Hierarchy) {
-	c.restoreArch(arch)
-	c.Pred.CopyFrom(pred)
-	c.Mem.CopyFrom(hier)
-}
-
-func (c *CPU) restoreArch(arch *program.ArchState) {
+// RestoreLive primes a freshly constructed CPU (no cycles stepped yet) at
+// em's position: it takes em's PC and registers, and copies the warm
+// predictor and cache state structure to structure. The CPU then simulates
+// forward as if it had been flushed and redirected there: the initial
+// speculative rename table still maps every architectural register to its
+// initial physical register, so the register file is written through
+// Engine.Lookup. The caller owns c.Data: RestoreLive leaves it untouched so
+// a sampling driver can install a copy-on-write overlay of em's memory.
+// Calling RestoreLive on a CPU that has already stepped is a programmer
+// error and panics.
+func (c *CPU) RestoreLive(em *program.Emulator, pred *bpred.Predictor, hier *cache.Hierarchy) {
 	if c.cycle != 0 || c.committed != 0 || c.seq != 0 {
-		panic("pipeline: Restore on a CPU that has already run")
+		panic("pipeline: RestoreLive on a CPU that has already run")
 	}
-	c.fetchPC = arch.PC
-	c.archPC = arch.PC
+	c.fetchPC = em.PC
+	c.archPC = em.PC
 	for r := isa.Reg(0); r < isa.NumRegs; r++ {
 		a := c.Engine.Lookup(r)
-		c.vals[a.Class][a.Tag] = arch.Regs[r]
+		c.vals[a.Class][a.Tag] = em.Regs[r]
 		c.ready[a.Class][a.Tag] = true
 	}
+	c.Pred.CopyFrom(pred)
+	c.Mem.CopyFrom(hier)
 }
 
 // WindowStats is a cumulative counter snapshot cheap enough to take at
@@ -100,7 +82,3 @@ func (c *CPU) WindowStats() WindowStats {
 	w.IndLookups, w.IndWrong = c.Pred.IndCounts()
 	return w
 }
-
-// Halted reports whether the last RunFor slice ended because the program
-// halted.
-func (c *CPU) Halted() bool { return c.runHalted }

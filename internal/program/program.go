@@ -329,19 +329,6 @@ func (m *Memory) grow() {
 // Written returns the number of distinct words ever written.
 func (m *Memory) Written() int { return m.n }
 
-// Clone returns an independent copy of the memory image in O(table size)
-// with no rehashing — the checkpoint-restore fast path. Cloning an overlay
-// shares the (immutable-by-contract) base.
-func (m *Memory) Clone() *Memory {
-	return &Memory{
-		seed: m.seed,
-		keys: append([]uint64(nil), m.keys...),
-		vals: append([]uint64(nil), m.vals...),
-		n:    m.n,
-		base: m.base,
-	}
-}
-
 // NewOverlay returns a copy-on-write view of base: reads see base's current
 // contents, writes land only in the overlay. The base must not be written
 // while the overlay is in use.

@@ -23,17 +23,12 @@ func MemoKey(p workload.Profile, cfg config.Config) string {
 	return fmt.Sprintf("%s|%+v", p.Name, cfg)
 }
 
-// Key returns the compact run key used in journals and manifests: a
-// 128-bit hex prefix of SHA-256 over MemoKey. It inherits MemoKey's
-// every-field coverage while keeping journal lines short.
-func Key(p workload.Profile, cfg config.Config) string {
-	return KeyWithSample(p, cfg, "")
-}
-
-// KeyWithSample is Key extended with the sampled-execution axis. The sample
-// mode is appended to the identity string only when non-empty, so exact-mode
-// keys are byte-identical to what Key always produced, and a sampled unit
-// can never alias the exact unit for the same (profile, config).
+// KeyWithSample returns the compact run key used in journals and manifests:
+// a 128-bit hex prefix of SHA-256 over MemoKey, extended with the
+// sampled-execution axis. It inherits MemoKey's every-field coverage while
+// keeping journal lines short. The sample mode is appended to the identity
+// string only when non-empty ("" for an exact unit), so a sampled unit can
+// never alias the exact unit for the same (profile, config).
 func KeyWithSample(p workload.Profile, cfg config.Config, sample string) string {
 	mk := MemoKey(p, cfg)
 	if sample != "" {

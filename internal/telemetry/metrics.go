@@ -118,9 +118,6 @@ func (h *LatencyHistogram) Observe(d time.Duration) {
 	h.sumNs.Add(uint64(ns))
 }
 
-// ObserveSince records the time elapsed since t0.
-func (h *LatencyHistogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0)) }
-
 // Snapshot returns the bucket upper bounds (seconds), the per-bucket counts
 // (non-cumulative, last bucket is +Inf), the sum of observations in
 // seconds, and the total count.
