@@ -130,11 +130,12 @@ func NewCorrector(entries int) *Corrector {
 	return &Corrector{weights: w, mask: uint64(n - 1)}
 }
 
+// indices hashes pc with the history's corrector folds, the 6, 14 and 28
+// newest outcomes each folded to 12 bits.
 func (c *Corrector) indices(pc uint64, hist *GlobalHistory) [correctorFeatures]uint64 {
 	var out [correctorFeatures]uint64
-	lens := [correctorFeatures]int{6, 14, 28}
 	for i := range out {
-		out[i] = (pc ^ hist.fold(lens[i], 12) ^ uint64(i)<<9) & c.mask
+		out[i] = (pc ^ uint64(hist.folds[scFold+i]) ^ uint64(i)<<9) & c.mask
 	}
 	return out
 }

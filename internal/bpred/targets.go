@@ -77,8 +77,10 @@ func NewIndirect(histEntries, ibtbEntries int) *Indirect {
 	}
 }
 
+// index hashes pc with the history's indirect fold, the 18 newest outcomes
+// folded to 16 bits.
 func (p *Indirect) index(pc uint64, hist *GlobalHistory) uint64 {
-	return (pc ^ hist.fold(18, 16)*0x9e37 ^ pc>>7) & p.mask
+	return (pc ^ uint64(hist.folds[indFold])*0x9e37 ^ pc>>7) & p.mask
 }
 
 // Predict returns the predicted target for the indirect branch at pc under

@@ -9,7 +9,8 @@
 // Every detail window is primed in process from the one live warmer: the
 // fresh pipeline takes the emulator's PC and registers, copies of the warm
 // predictor and cache structures, and a copy-on-write overlay of the
-// emulator's memory.
+// emulator's memory. The predictor and hierarchy the copies land in are
+// built once per run and recycled by every window.
 package checkpoint
 
 import (
@@ -205,6 +206,10 @@ func run(cfg config.Config, prog *program.Program, kind pipeline.SchedulerKind, 
 		panic(err)
 	}
 	w := newWarmer(prog, cfg)
+	// Every window's CPU is built around the same predictor and hierarchy:
+	// priming overwrites all of their state, so no window sees what its
+	// predecessor left there, and no window pays to allocate and zero them.
+	winPred, winMem := bpred.New(cfg), cache.NewHierarchy(cfg)
 
 	var (
 		deltas  []pipeline.WindowStats
@@ -237,7 +242,7 @@ func run(cfg config.Config, prog *program.Program, kind pipeline.SchedulerKind, 
 			}
 		}
 
-		cpu := pipeline.NewWithScheduler(cfg, prog, kind)
+		cpu := pipeline.NewWithParts(cfg, prog, kind, winPred, winMem)
 		if lifetimes {
 			cpu.Engine.TrackLifetimes()
 		}

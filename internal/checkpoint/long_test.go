@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -44,5 +45,35 @@ func BenchmarkSampledRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Run(cfg, prog, pipeline.SchedulerEvent, 10000000, plan)
+	}
+}
+
+// TestSampledWindowAllocations bounds what one detail window allocates: on
+// gcc under the benchmark's plan, the bytes a 4M-instruction sampled run
+// allocates beyond a 2M one, spread over the windows it adds. A window
+// builds a CPU around the run's recycled predictor and hierarchy, so the
+// bound fails if a window allocates its own copies of either again.
+func TestSampledWindowAllocations(t *testing.T) {
+	cfg := testConfig()
+	p, _ := workload.ByName("gcc")
+	prog := p.Generate()
+	plan := Plan{Period: 100000, Window: 2000, Warmup: 500}
+	run := func(instr uint64) (uint64, int) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		est := Run(cfg, prog, pipeline.SchedulerEvent, instr, plan)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, est.Windows
+	}
+	shortBytes, shortWindows := run(2000000)
+	longBytes, longWindows := run(4000000)
+	extra := longWindows - shortWindows
+	if extra <= 0 {
+		t.Fatalf("4M run measured %d windows, 2M run %d: no extra windows to divide by", longWindows, shortWindows)
+	}
+	perWindow := float64(longBytes-shortBytes) / float64(extra)
+	t.Logf("%.0f bytes per window over %d extra windows", perWindow, extra)
+	if perWindow >= 1<<20 {
+		t.Errorf("a sampled window allocates %.2f MiB, want < 1 MiB", perWindow/(1<<20))
 	}
 }

@@ -91,9 +91,9 @@ type Config struct {
 	BTBEntries    int
 	IBTBEntries   int // indirect branch target buffer
 	RASEntries    int
-	TageHistLen   int // longest TAGE history length
-	TageTables    int // number of tagged tables
-	TageTableBits int // log2 entries per tagged table
+	TageHistLen   int // longest TAGE history length (0 = 256)
+	TageTables    int // number of tagged tables (0 = 6, at most MaxTageTables)
+	TageTableBits int // log2 entries per tagged table (0 = 10, at most MaxTageTableBits)
 
 	// Backend.
 	IssueWidth    int // max micro-ops issued to FUs per cycle
@@ -228,6 +228,15 @@ func (c Config) WithPhysRegs(n int) Config {
 	return c
 }
 
+// Bounds on the TAGE geometry. The predictor carries one folded copy of
+// the global history per (history length, width) pair it reads, in storage
+// fixed at compile time so a history snapshot copies without allocating:
+// these bound how many pairs there can be and how wide a fold is.
+const (
+	MaxTageTables    = 8
+	MaxTageTableBits = 16
+)
+
 // Validate checks structural consistency and returns a descriptive error for
 // the first violated constraint.
 func (c Config) Validate() error {
@@ -250,6 +259,11 @@ func (c Config) Validate() error {
 		check(c.ConsumerCounterBits >= 0 && c.ConsumerCounterBits <= 16, "ConsumerCounterBits out of range"),
 		check(c.RedefineDelay >= 0 && c.RedefineDelay <= 8, "RedefineDelay out of range"),
 		check(c.Scheme >= SchemeBaseline && c.Scheme <= SchemeCombined, "unknown scheme %d", int(c.Scheme)),
+		check(c.TageHistLen >= 0, "TageHistLen must not be negative"),
+		check(c.TageTables >= 0 && c.TageTables <= MaxTageTables,
+			"TageTables %d out of range [0, %d]", c.TageTables, MaxTageTables),
+		check(c.TageTableBits >= 0 && c.TageTableBits <= MaxTageTableBits,
+			"TageTableBits %d out of range [0, %d]", c.TageTableBits, MaxTageTableBits),
 	}
 	for _, lvl := range []struct {
 		name string

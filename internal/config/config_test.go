@@ -61,6 +61,9 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"negative delay", func(c *Config) { c.RedefineDelay = -1 }},
 		{"huge counter", func(c *Config) { c.ConsumerCounterBits = 99 }},
 		{"bad scheme", func(c *Config) { c.Scheme = ReleaseScheme(42) }},
+		{"negative TAGE history", func(c *Config) { c.TageHistLen = -1 }},
+		{"too many TAGE tables", func(c *Config) { c.TageTables = MaxTageTables + 1 }},
+		{"too wide TAGE tables", func(c *Config) { c.TageTableBits = MaxTageTableBits + 1 }},
 	}
 	for _, m := range mutations {
 		c := GoldenCove()

@@ -186,15 +186,30 @@ func New(cfg config.Config, prog *program.Program) *CPU {
 
 // NewWithScheduler builds a CPU with an explicit scheduler implementation.
 func NewWithScheduler(cfg config.Config, prog *program.Program, kind SchedulerKind) *CPU {
+	return NewWithParts(cfg, prog, kind, nil, nil)
+}
+
+// NewWithParts is NewWithScheduler around a caller-owned predictor and
+// cache hierarchy, which must be built from cfg; a nil part is built fresh.
+// The CPU uses the parts as they are: a sampling driver that recycles one
+// predictor and hierarchy across its windows calls RestoreLive next, which
+// overwrites their state with the warm state.
+func NewWithParts(cfg config.Config, prog *program.Program, kind SchedulerKind, pred *bpred.Predictor, mem *cache.Hierarchy) *CPU {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
+	}
+	if pred == nil {
+		pred = bpred.New(cfg)
+	}
+	if mem == nil {
+		mem = cache.NewHierarchy(cfg)
 	}
 	c := &CPU{
 		cfg:     cfg,
 		prog:    prog,
 		Engine:  core.NewEngine(cfg),
-		Pred:    bpred.New(cfg),
-		Mem:     cache.NewHierarchy(cfg),
+		Pred:    pred,
+		Mem:     mem,
 		Data:    program.NewMemory(prog.MemSeed),
 		rob:     newROB(cfg.ROBSize),
 		faulted: make(map[uint64]bool),

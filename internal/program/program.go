@@ -221,10 +221,10 @@ func indirectTarget(in *isa.Inst, sel uint64) uint64 {
 //
 // The written-word image is an open-addressed hash table with linear
 // probing rather than a Go map: Read/Write sit on the emulator's
-// per-instruction path (and the pipeline's execute stage), where the
-// flat table is ~2x faster, and checkpoint restore can clone it with two
-// memmoves instead of a rehash. Written addresses are 8-aligned, so keys
-// are stored with bit 0 set and 0 marks an empty slot.
+// per-instruction path (and the pipeline's execute stage), where the flat
+// table is ~2x faster. A sampled detail window never copies the table: it
+// reads through a copy-on-write overlay (NewOverlay). Written addresses are
+// 8-aligned, so keys are stored with bit 0 set and 0 marks an empty slot.
 type Memory struct {
 	seed uint64
 	keys []uint64 // addr|1, 0 = empty

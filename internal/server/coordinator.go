@@ -416,6 +416,11 @@ func newJob(id, tenant string, spec JobSpec, g sweep.Grid) (*job, error) {
 		if prev, dup := byKey[u.Key]; dup {
 			return nil, fmt.Errorf("grid %q runs %d and %d share key %s (duplicate unit)", g.Name, prev, u.Seq, u.Key)
 		}
+		// A unit whose config cannot run would fail every attempt on a
+		// worker; refuse the job at admission instead.
+		if err := u.Config.Validate(); err != nil {
+			return nil, fmt.Errorf("grid %q run %d: %w", g.Name, u.Seq, err)
+		}
 		byKey[u.Key] = u.Seq
 	}
 	return &job{

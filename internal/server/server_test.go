@@ -610,18 +610,25 @@ func TestRateLimit429(t *testing.T) {
 	waitState(t, c, id2, StateDone)
 }
 
+// badSpecs are the job specs admission must refuse with 400; FuzzJobSpec
+// seeds from them too.
+var badSpecs = []JobSpec{
+	{Kind: "grid", Grid: "nope"},
+	{Kind: "run", Bench: "not-a-bench"},
+	{Kind: "run", Bench: "gcc", Scheme: "not-a-scheme"},
+	{Kind: "grid"}, // custom grid with no profiles
+	{Kind: "???"},
+	{Kind: "run", Bench: "gcc", Sample: "systematic:1000/200/50/junk"}, // not canonical
+	// Resolve to a grid whose every unit fails config.Validate.
+	{Kind: "run", Bench: "gcc", Regs: 10},
+	{Kind: "run", Bench: "gcc", Regs: -1},
+	{Kind: "grid", Profiles: []string{"gcc"}, PhysRegs: []int{-3}},
+}
+
 // TestBadSpecRejected covers admission validation.
 func TestBadSpecRejected(t *testing.T) {
 	_, hs := newTestServer(t, testOptions(t))
-	cases := []JobSpec{
-		{Kind: "grid", Grid: "nope"},
-		{Kind: "run", Bench: "not-a-bench"},
-		{Kind: "run", Bench: "gcc", Scheme: "not-a-scheme"},
-		{Kind: "grid"}, // custom grid with no profiles
-		{Kind: "???"},
-		{Kind: "run", Bench: "gcc", Sample: "systematic:1000/200/50/junk"}, // not canonical
-	}
-	for i, spec := range cases {
+	for i, spec := range badSpecs {
 		if _, code, _ := trySubmit(t, hs.URL, spec, ""); code != http.StatusBadRequest {
 			t.Errorf("case %d: status %d, want 400", i, code)
 		}
