@@ -90,7 +90,7 @@ func (p *Predictor) PredictInto(in *isa.Inst, pc uint64, bp *BranchPrediction) {
 			bp.UsedSC = true
 		}
 		bp.Target = in.Target
-		p.Tage.History().Update(bp.Taken)
+		p.Tage.push(&p.Tage.hist, bp.Taken)
 		p.condLookups++
 	case isa.OpJump:
 		bp.Taken = true
@@ -168,7 +168,7 @@ func (p *Predictor) Recover(in *isa.Inst, pc uint64, bp *BranchPrediction, taken
 	h := bp.Checkpoint.Hist
 	switch in.Op {
 	case isa.OpBranch:
-		h.Update(taken)
+		p.Tage.push(&h, taken)
 	case isa.OpCall, isa.OpCallInd:
 		p.RAS.Push(pc + 1)
 	case isa.OpRet:

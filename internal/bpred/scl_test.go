@@ -82,11 +82,12 @@ func TestCorrectorLearnsHistoryCorrelation(t *testing.T) {
 	pc := uint64(7)
 	// Outcome equals the most recent history bit: TAGE's folded view may
 	// miss it, but the corrector's short feature can learn it.
+	tg := NewTAGE(TAGEConfig{})
 	var h GlobalHistory
 	for i := 0; i < 2000; i++ {
 		taken := h.bits&1 == 1
 		c.Update(pc, &h, taken)
-		h.Update(i%3 == 0) // drive the history independently
+		tg.push(&h, i%3 == 0) // drive the history independently
 	}
 	// After training, the corrector sum should follow the history bit.
 	agree := 0
@@ -101,7 +102,7 @@ func TestCorrectorLearnsHistoryCorrelation(t *testing.T) {
 			}
 		}
 		c.Update(pc, &h, want)
-		h.Update(i%3 == 0)
+		tg.push(&h, i%3 == 0)
 	}
 	if total == 0 || float64(agree)/float64(total) < 0.7 {
 		t.Errorf("corrector agreement %d/%d", agree, total)
