@@ -7,10 +7,11 @@
 package atr
 
 import (
-	"fmt"
+	"context"
 	"io"
 	"os"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,6 +27,7 @@ import (
 	"atr/internal/pipeline"
 	"atr/internal/program"
 	"atr/internal/stats"
+	"atr/internal/sweep"
 	"atr/internal/workload"
 )
 
@@ -309,46 +311,69 @@ func BenchmarkScheduler(b *testing.B) {
 	}
 }
 
-// BenchmarkFig10Throughput measures end-to-end simulator throughput over the
-// full Figure 10 sweep grid under each scheduler implementation — the
-// headline number for the event-driven scheduler rework.
-func BenchmarkFig10Throughput(b *testing.B) {
-	scheds := []struct {
-		name string
-		kind pipeline.SchedulerKind
-	}{
-		{"event", pipeline.SchedulerEvent},
-		{"scan", pipeline.SchedulerScan},
-	}
-	for _, s := range scheds {
-		b.Run(s.name, func(b *testing.B) {
-			var t experiments.Throughput
-			for i := 0; i < b.N; i++ {
-				t = experiments.SchedulerSweep(s.kind, benchInstr)
+// benchFig10 runs sub-benchmark name over the Figure 10 sweep grid — every
+// benchmark profile at both RF sizes under every release scheme, on the
+// ROB-512 Golden Cove configuration — through the sweep engine pinned to
+// one worker, with a fresh RunFunc from fn per iteration, and reports the
+// simulator's aggregate throughput. Serial execution keeps comparisons
+// free of parallel-scheduling noise. A nil RunFunc is the engine's
+// production configuration: units sharing a profile run as lockstep lanes
+// over one program image.
+func benchFig10(b *testing.B, name string, fn func() sweep.RunFunc) {
+	b.Run(name, func(b *testing.B) {
+		g := sweep.Fig10Grid(benchInstr)
+		var instr, cycles uint64
+		for i := 0; i < b.N; i++ {
+			m, err := sweep.New(sweep.Options{Workers: 1}).Execute(context.Background(), g, fn())
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(t.CyclesPerSec(), "cycles/s")
-			b.ReportMetric(t.InstrPerSec(), "instr/s")
-		})
+			instr += m.Totals.Committed
+			cycles += m.Totals.Cycles
+		}
+		if sec := b.Elapsed().Seconds(); sec > 0 {
+			b.ReportMetric(float64(cycles)/sec, "cycles/s")
+			b.ReportMetric(float64(instr)/sec, "instr/s")
+		}
+	})
+}
+
+// scanRun is a solo RunFunc on the scan reference scheduler, generating
+// each profile's program once as the engine's own run functions do.
+func scanRun() sweep.RunFunc {
+	var mu sync.Mutex
+	progs := make(map[string]*program.Program)
+	return func(_ context.Context, u sweep.Unit) (pipeline.Result, error) {
+		mu.Lock()
+		prog, ok := progs[u.Profile.Name]
+		if !ok {
+			prog = u.Profile.Generate()
+			progs[u.Profile.Name] = prog
+		}
+		mu.Unlock()
+		return pipeline.NewWithScheduler(u.Config, prog, pipeline.SchedulerScan).Run(benchInstr), nil
 	}
 }
 
-// BenchmarkBatchedSweep compares solo (K=1) and lockstep-batched (K=4)
-// execution of the Figure 10 grid on the event scheduler: identical units,
-// identical results (TestSweepBatchDeterminism proves byte-identity), the
-// only difference being whether profile-sharing units run as lanes over
-// one shared program image. The K=4/K=1 ratio is the locality win of
-// lockstep batching in isolation.
+// BenchmarkFig10Throughput measures end-to-end simulator throughput over the
+// full Figure 10 sweep grid: the engine's production path (event) against
+// the scan reference scheduler running every unit solo (scan) — the
+// headline number for the event-driven scheduler rework.
+func BenchmarkFig10Throughput(b *testing.B) {
+	benchFig10(b, "event", func() sweep.RunFunc { return nil })
+	benchFig10(b, "scan", scanRun)
+}
+
+// BenchmarkBatchedSweep compares solo (K=1, sweep.Sim) and lockstep-grouped
+// (K=4, the engine's own path) execution of the Figure 10 grid on the
+// event scheduler: identical units, identical results
+// (TestSweepBatchDeterminism proves byte-identity), the only difference
+// being whether profile-sharing units run as lanes over one shared program
+// image. The K=4/K=1 ratio is the locality effect of lockstep lanes in
+// isolation.
 func BenchmarkBatchedSweep(b *testing.B) {
-	for _, k := range []int{1, 4} {
-		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			var t experiments.Throughput
-			for i := 0; i < b.N; i++ {
-				t = experiments.SchedulerSweepBatch(pipeline.SchedulerEvent, benchInstr, k)
-			}
-			b.ReportMetric(t.CyclesPerSec(), "cycles/s")
-			b.ReportMetric(t.InstrPerSec(), "instr/s")
-		})
-	}
+	benchFig10(b, "K=1", func() sweep.RunFunc { return sweep.Sim(benchInstr) })
+	benchFig10(b, "K=4", func() sweep.RunFunc { return nil })
 }
 
 // BenchmarkSampledThroughput is the CI gate for sampled execution: the

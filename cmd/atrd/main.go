@@ -6,7 +6,7 @@
 // joined workers; -join runs such a worker.
 //
 //	atrd [-coordinator] [-addr :8437] [-state atrd-state] [-n instr]
-//	     [-sim-workers N] [-retries N] [-backoff d] [-runner-cache-cap N]
+//	     [-sim-workers N] [-retries N] [-backoff d]
 //	     [-queue N] [-rate r] [-burst N] [-max-active N] [-cache-cap N]
 //	     [-heartbeat-timeout d] [-lease-timeout d] [-drain d]
 //	     [-log-format text|json] [-log-level debug|info|warn|error] [-pprof]
@@ -102,7 +102,6 @@ func main() {
 	rate := flag.Float64("rate", 5, "per-client submissions/sec (negative disables limiting)")
 	burst := flag.Int("burst", 10, "per-client submission burst")
 	cacheCap := flag.Int("cache-cap", 65536, "content-addressed result cache entries")
-	runnerCacheCap := flag.Int("runner-cache-cap", 0, "in-process worker program cache entries (0 selects default)")
 	retries := flag.Int("retries", 1, "retries per failing run")
 	backoff := flag.Duration("backoff", 100*time.Millisecond, "first-retry backoff (doubles per retry)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown drain budget")
@@ -144,7 +143,6 @@ func main() {
 		SimWorkers:       slots,
 		Retries:          *retries,
 		Backoff:          *backoff,
-		RunnerCacheCap:   *runnerCacheCap,
 		QueueDepth:       *queue,
 		Rate:             *rate,
 		Burst:            *burst,

@@ -7,40 +7,31 @@
 // Usage:
 //
 //	atrsim [-bench name] [-scheme baseline|nonspec-er|atomic|combined]
-//	       [-regs N] [-n instructions] [-delay N] [-walk] [-sched event|scan] [-v]
-//	       [-batch K] [-trace out.jsonl] [-o3view out.o3] [-json run.json]
+//	       [-regs N] [-n instructions] [-delay N] [-walk] [-v]
+//	       [-trace out.jsonl] [-o3view out.o3] [-json run.json]
 //	       [-sample N] [-samples out.csv|out.json]
 //	       [-sample-mode systematic:P/W/U]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//
-// -batch K simulates K identical lockstep lanes of the same configuration
-// on the batched executor and verifies lane isolation: every lane must
-// finish bit-identical to lane 0 (and pass the engine invariants), or the
-// run fails. The manifest's perf block then records the lane count and
-// the setup/exec phase split. K < 1 is a usage error (exit 2).
 //
 // -sample-mode systematic:<period>/<window>/<warmup> switches to sampled
 // execution: the functional emulator fast-forwards between systematically
 // spaced windows (keeping predictor and cache state warm), the detailed
 // pipeline runs only inside the windows, and every reported statistic is an
 // extrapolated estimate with 95% confidence error bars. Sampled execution
-// is incompatible with -batch > 1, with the per-CPU observers
-// (-trace/-o3view/-sample/-samples), and with litmus profiles (whose single
-// architected outcome cannot be extrapolated); combining them is a usage
-// error (exit 2).
+// is incompatible with the per-CPU observers (-trace/-o3view/-sample/
+// -samples) and with litmus profiles (whose single architected outcome
+// cannot be extrapolated); combining them is a usage error (exit 2).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
-	"atr/internal/batch"
 	"atr/internal/checkpoint"
 	"atr/internal/config"
 	"atr/internal/obs"
@@ -55,8 +46,6 @@ func main() {
 	n := flag.Uint64("n", 100_000, "instructions to simulate")
 	delay := flag.Int("delay", 0, "ATR redefine-signal pipeline delay (Fig 13)")
 	walk := flag.Bool("walk", false, "use walk-based SRT recovery instead of checkpoints")
-	schedName := flag.String("sched", "event", "scheduler implementation: event (wakeup lists + completion wheel) or scan (reference)")
-	batchK := flag.Int("batch", 1, "simulate K identical lockstep lanes and verify lane isolation (1 = solo)")
 	list := flag.Bool("list", false, "list benchmark profiles and exit")
 	verbose := flag.Bool("v", false, "print internal release counters")
 	tracePath := flag.String("trace", "", "write a JSONL pipeline event trace to this file")
@@ -102,14 +91,6 @@ func main() {
 	if *samplesPath != "" && *sample == 0 {
 		*sample = 1000 // -samples implies sampling at a default period
 	}
-	if *batchK < 1 {
-		fmt.Fprintf(os.Stderr, "atrsim: -batch must be >= 1 (got %d)\n", *batchK)
-		os.Exit(2)
-	}
-	if *batchK > 1 && (*tracePath != "" || *o3Path != "" || *sample > 0) {
-		fmt.Fprintln(os.Stderr, "atrsim: -batch > 1 is incompatible with -trace/-o3view/-sample (observers are per-CPU; the batched executor does not attach them)")
-		os.Exit(2)
-	}
 	var plan checkpoint.Plan
 	sampledRun := *sampleMode != ""
 	if sampledRun {
@@ -117,10 +98,6 @@ func main() {
 		plan, err = checkpoint.ParseMode(*sampleMode)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "atrsim:", err)
-			os.Exit(2)
-		}
-		if *batchK > 1 {
-			fmt.Fprintln(os.Stderr, "atrsim: -sample-mode is incompatible with -batch > 1 (sampled execution estimates one run from detail windows; lockstep lanes require exact full-detail simulation — run them separately)")
 			os.Exit(2)
 		}
 		if *tracePath != "" || *o3Path != "" || *sample > 0 {
@@ -160,17 +137,6 @@ func main() {
 		observer.Sampler = obs.NewSampler(*sample)
 	}
 
-	var sched pipeline.SchedulerKind
-	switch *schedName {
-	case "event":
-		sched = pipeline.SchedulerEvent
-	case "scan":
-		sched = pipeline.SchedulerScan
-	default:
-		fmt.Fprintf(os.Stderr, "atrsim: unknown scheduler %q (want event or scan)\n", *schedName)
-		os.Exit(2)
-	}
-
 	prog := p.Generate()
 	// Profile only the simulation itself, not program generation or
 	// report/manifest writing, so hot-path work stands out.
@@ -182,35 +148,16 @@ func main() {
 		}
 	}
 	var (
-		cpu   *pipeline.CPU
-		res   pipeline.Result
-		bperf batch.Perf
-		est   checkpoint.Estimate
+		cpu *pipeline.CPU
+		res pipeline.Result
+		est checkpoint.Estimate
 	)
 	start := time.Now()
 	if sampledRun {
-		est = checkpoint.Run(cfg, prog, sched, *n, plan)
+		est = checkpoint.Run(cfg, prog, pipeline.SchedulerEvent, *n, plan)
 		res = est.Result
-	} else if *batchK > 1 {
-		cfgs := make([]config.Config, *batchK)
-		for i := range cfgs {
-			cfgs[i] = cfg
-		}
-		lanes, perf := batch.Run(prog, cfgs, *n, batch.Options{Kind: sched, Lifetimes: true})
-		bperf = perf
-		cpu, res = lanes[0].CPU, lanes[0].Result
-		for i, l := range lanes {
-			if err := l.CPU.Engine.CheckInvariants(); err != nil {
-				fmt.Fprintf(os.Stderr, "atrsim: INVARIANT VIOLATION (lane %d): %v\n", i, err)
-				os.Exit(1)
-			}
-			if !reflect.DeepEqual(l.Result, res) {
-				fmt.Fprintf(os.Stderr, "atrsim: LANE ISOLATION VIOLATION: lane %d diverges from lane 0\n", i)
-				os.Exit(1)
-			}
-		}
 	} else {
-		cpu = pipeline.NewWithScheduler(cfg, prog, sched)
+		cpu = pipeline.New(cfg, prog)
 		cpu.Engine.TrackLifetimes()
 		if observer.Enabled() {
 			cpu.Observe(&observer)
@@ -289,10 +236,6 @@ func main() {
 	}
 	fmt.Printf("simulated at   %.0fk instructions/second\n",
 		float64(res.Committed)/elapsed.Seconds()/1000)
-	if *batchK > 1 {
-		fmt.Printf("lane check     %d lockstep lanes bit-identical (setup %.3fs, exec %.3fs)\n",
-			bperf.Lanes, bperf.SetupSeconds, bperf.ExecSeconds)
-	}
 
 	if observer.Sampler != nil && *samplesPath != "" {
 		writeSamples(observer.Sampler, *samplesPath)
@@ -302,7 +245,7 @@ func main() {
 		if sampledRun {
 			estp = &est
 		}
-		writeManifest(*jsonPath, p, prog.Len(), cfg, cpu, res, elapsed, &observer, *tracePath, *o3Path, bperf, estp)
+		writeManifest(*jsonPath, p, prog.Len(), cfg, cpu, res, elapsed, &observer, *tracePath, *o3Path, estp)
 	}
 }
 
@@ -342,8 +285,7 @@ func writeSamples(s *obs.Sampler, path string) {
 
 func writeManifest(path string, p workload.Profile, static int, cfg config.Config,
 	cpu *pipeline.CPU, res pipeline.Result, elapsed time.Duration,
-	observer *obs.Observer, tracePath, o3Path string, bperf batch.Perf,
-	est *checkpoint.Estimate) {
+	observer *obs.Observer, tracePath, o3Path string, est *checkpoint.Estimate) {
 	m := obs.NewManifest()
 	m.CreatedAt = time.Now().UTC().Format(time.RFC3339)
 	m.Benchmark = obs.BenchmarkInfo{Name: p.Name, Class: p.Class, Seed: p.Seed, StaticInstrs: static}
@@ -380,9 +322,6 @@ func writeManifest(path string, p workload.Profile, static int, cfg config.Confi
 		WallSeconds:  elapsed.Seconds(),
 		InstrPerSec:  float64(res.Committed) / elapsed.Seconds(),
 		CyclesPerSec: float64(res.Cycles) / elapsed.Seconds(),
-		Lanes:        bperf.Lanes,
-		SetupSeconds: bperf.SetupSeconds,
-		ExecSeconds:  bperf.ExecSeconds,
 	}
 	if observer.Sampler != nil {
 		m.Samples = observer.Sampler.Samples()

@@ -23,8 +23,8 @@ func buildAtrsim(t *testing.T) string {
 }
 
 // TestSampleModeFlagConflicts covers the usage-error contract: -sample-mode
-// combined with -batch > 1 (or with any per-CPU observer flag, or malformed)
-// must exit 2 with a diagnostic on stderr, before any simulation starts.
+// combined with any per-CPU observer flag, or malformed, must exit 2 with a
+// diagnostic on stderr, before any simulation starts.
 func TestSampleModeFlagConflicts(t *testing.T) {
 	bin := buildAtrsim(t)
 	cases := []struct {
@@ -32,11 +32,6 @@ func TestSampleModeFlagConflicts(t *testing.T) {
 		args []string
 		want string // substring expected on stderr
 	}{
-		{
-			name: "batch",
-			args: []string{"-sample-mode", "systematic:10000/2000/500", "-batch", "2"},
-			want: "-sample-mode is incompatible with -batch",
-		},
 		{
 			name: "trace",
 			args: []string{"-sample-mode", "systematic:10000/2000/500", "-trace", "out.jsonl"},

@@ -9,24 +9,23 @@
 //
 // Grid mode, selected by -grid:
 //
-//	atrsweep -grid fig10|full|micro [-n instructions] [-workers N] [-batch K]
+//	atrsweep -grid fig10|full|micro [-n instructions] [-workers N]
 //	         [-sample-mode exact,systematic:P/W/U,...]
 //	         [-out manifest.json] [-journal sweep.jsonl] [-resume sweep.jsonl]
 //	         [-retries N] [-backoff d] [-timeout d] [-perf perf.json]
 //	         [-inject-panic k]
 //
-// -batch caps how many profile-homogeneous pending units execute as
-// lockstep lanes over one shared program image (omit for the engine's
-// default width; 1 disables batching). Batching is a pure scheduling
-// decision — the manifest bytes are identical either way — and its
-// telemetry (groups, lanes, setup/exec split) lands in the -perf file.
-// An explicit -batch below 1 is a usage error (exit 2).
+// The engine runs up to four consecutive exact units of one profile as
+// lockstep lanes over one shared program image. Grouping is a pure
+// scheduling decision — the manifest bytes are identical to a solo run —
+// and its telemetry (groups, lanes, setup/exec split) lands in the -perf
+// file.
 //
 // -sample-mode adds a sampled-execution axis to the grid: a comma-separated
 // list where each entry is either "exact" (full-detail simulation) or a
 // checkpoint plan "systematic:<period>/<window>/<warmup>". Every grid unit
 // is run once per listed mode; sampled units carry extrapolated estimates
-// and are excluded from lockstep batching. -sample-mode without -grid, or
+// and never join a lockstep group. -sample-mode without -grid, or
 // with a malformed plan, is a usage error (exit 2).
 //
 // Grid mode writes a deterministic result manifest: the same grid produces
@@ -97,7 +96,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "grid mode: abort the sweep after this long (0 disables)")
 	perfPath := flag.String("perf", "", "grid mode: write scheduling telemetry (wall clock, shards) to this file")
 	injectPanic := flag.Int("inject-panic", 0, "grid mode: poison the k-th grid run (1-based) so every attempt panics")
-	batchK := flag.Int("batch", 0, "grid mode: lockstep lanes per profile-homogeneous batch (0 auto-selects, 1 disables)")
 	sampleModes := flag.String("sample-mode", "", "grid mode: comma-separated sampled-execution axis (exact and/or systematic:<period>/<window>/<warmup> plans)")
 	flag.Parse()
 
@@ -108,9 +106,6 @@ func main() {
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "workers" && *workers < 1 {
 			usageErr(fmt.Sprintf("-workers must be >= 1 (got %d); omit the flag to use GOMAXPROCS", *workers))
-		}
-		if f.Name == "batch" && *batchK < 1 {
-			usageErr(fmt.Sprintf("-batch must be >= 1 (got %d); omit the flag for the default lane width", *batchK))
 		}
 	})
 	if *retries < 0 {
@@ -138,7 +133,7 @@ func main() {
 	}
 
 	if *grid != "" {
-		os.Exit(runGrid(*grid, *n, *workers, *batchK, modes, *out, *journalPath, *resumePath,
+		os.Exit(runGrid(*grid, *n, *workers, modes, *out, *journalPath, *resumePath,
 			*retries, *backoff, *timeout, *perfPath, *injectPanic))
 	}
 
@@ -251,7 +246,7 @@ func main() {
 
 // runGrid executes one sweep grid on the engine and returns the process
 // exit code.
-func runGrid(name string, instr uint64, workers, batchK int, sampleModes []string,
+func runGrid(name string, instr uint64, workers int, sampleModes []string,
 	out, journalPath, resumePath string,
 	retries int, backoff, timeout time.Duration, perfPath string, injectPanic int) int {
 
@@ -268,7 +263,6 @@ func runGrid(name string, instr uint64, workers, batchK int, sampleModes []strin
 
 	opts := sweep.Options{
 		Workers:     workers,
-		Batch:       batchK,
 		Retries:     retries,
 		Backoff:     backoff,
 		InjectPanic: injectPanic,

@@ -401,10 +401,6 @@ func summarizeManifest(path string) {
 		100*m.Ledger.InUse, 100*m.Ledger.Unused, 100*m.Ledger.VerifiedUnused)
 	fmt.Printf("atomic ratio   %.1f%%\n", 100*m.Ledger.Atomic)
 	fmt.Printf("perf           %.2fs wall, %.0f instr/s\n", m.Perf.WallSeconds, m.Perf.InstrPerSec)
-	if m.Perf.Lanes > 1 {
-		fmt.Printf("lanes          %d lockstep, %.2fs setup, %.2fs exec\n",
-			m.Perf.Lanes, m.Perf.SetupSeconds, m.Perf.ExecSeconds)
-	}
 	if len(m.Samples) > 0 {
 		fmt.Printf("samples        %d intervals\n", len(m.Samples))
 	}

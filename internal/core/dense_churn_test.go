@@ -114,8 +114,8 @@ func TestLifeTabChurnNoAliasing(t *testing.T) {
 // TestDenseTabsChurnParallel runs independent engines' worth of dense-tab
 // churn on concurrent goroutines. The tables are engine-private by design;
 // under -race this proves the arenas share no hidden package state, which
-// is what lets the sweep engine and the lockstep batch executor run lanes
-// on plain goroutines without synchronization.
+// is what lets the sweep engine run units and lockstep lanes on plain
+// goroutines without synchronization.
 func TestDenseTabsChurnParallel(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"atr/internal/batch"
 	"atr/internal/config"
 	"atr/internal/obs"
 	"atr/internal/pipeline"
@@ -77,7 +76,7 @@ type Runner struct {
 	CacheCap int
 
 	// Prefetch concurrency accounting: inFlight is the number of pool
-	// tasks (lockstep lane groups) currently executing, maxInFlight its
+	// tasks (one run each) currently executing, maxInFlight its
 	// high-water mark. TestPrefetchWorkerBound pins Prefetch to the
 	// worker bound with it.
 	inFlight    atomic.Int64
@@ -222,81 +221,6 @@ func (r *Runner) account(st *RunStats) {
 	r.mu.Unlock()
 }
 
-// RunBatch simulates profile p under every config in cfgs on lockstep
-// batch lanes sharing p's immutable program image (memoized identically
-// to Run — batching is invisible in the cache: lane results are
-// bit-identical to solo runs, so a key filled by RunBatch returns the
-// same stats a later Run would have computed, and vice versa). Configs
-// already resident are served from the memo; only the misses occupy
-// lanes. With a SampleInterval set it falls back to per-config Run,
-// since samplers are per-CPU observers the batch executor does not
-// attach.
-func (r *Runner) RunBatch(p workload.Profile, cfgs []config.Config) []RunStats {
-	out := make([]RunStats, len(cfgs))
-	if r.SampleInterval > 0 {
-		for i, cfg := range cfgs {
-			out[i] = r.Run(p, cfg)
-		}
-		return out
-	}
-
-	entries := make([]*resEntry, len(cfgs))
-	var miss []int
-	r.mu.Lock()
-	for i, cfg := range cfgs {
-		k := key(p, cfg)
-		e, ok := r.res[k]
-		if ok {
-			r.hits++
-			if e.elem != nil {
-				r.lru.MoveToFront(e.elem)
-			}
-		} else {
-			e = &resEntry{}
-			e.elem = r.lru.PushFront(k)
-			r.res[k] = e
-			r.evictLocked(e)
-			miss = append(miss, i)
-		}
-		entries[i] = e
-	}
-	r.mu.Unlock()
-
-	if len(miss) > 0 {
-		prog := r.Program(p)
-		bcfgs := make([]config.Config, len(miss))
-		for j, i := range miss {
-			bcfgs[j] = cfgs[i]
-		}
-		r.sem <- struct{}{}
-		lanes, _ := batch.Run(prog, bcfgs, r.Instr, batch.Options{Lifetimes: true})
-		<-r.sem
-		for j, i := range miss {
-			e, lane := entries[i], lanes[j]
-			cfg := bcfgs[j]
-			e.once.Do(func() {
-				e.stats = collect(lane.CPU, cfg, lane.Result, nil)
-				r.account(&e.stats)
-			})
-		}
-	}
-
-	for i, e := range entries {
-		// A pre-existing entry may still be mid-flight on its creator:
-		// Do either waits for it or (if the creator has not claimed the
-		// once yet) computes solo — both produce identical bits.
-		cfg := cfgs[i]
-		e.once.Do(func() {
-			r.sem <- struct{}{}
-			defer func() { <-r.sem }()
-			e.stats = simulate(r.Program(p), cfg, r.Instr, r.SampleInterval)
-			r.account(&e.stats)
-		})
-		out[i] = e.stats
-	}
-	return out
-}
-
 // evictLocked trims the result cache to CacheCap, sparing keep (the entry
 // being inserted). Caller holds r.mu.
 func (r *Runner) evictLocked(keep *resEntry) {
@@ -344,26 +268,11 @@ func (r *Runner) Totals() (runs int, instr, cycles uint64) {
 }
 
 // Prefetch executes the (profile × config) cross product in parallel on a
-// bounded work-stealing pool (Workers wide) and waits for completion.
-// Consecutive configs of one profile are grouped into lockstep lane
-// batches (RunBatch), so each pool task simulates up to
-// batch.DefaultLanes configs over one shared program image. Unlike the
-// old per-run goroutine fan-out, at most Workers tasks are in flight at
-// any instant regardless of grid size — lanes within a task share its
-// goroutine.
+// bounded work-stealing pool (Workers wide) and waits for completion: at
+// most Workers runs are in flight at any instant regardless of grid size.
 func (r *Runner) Prefetch(ps []workload.Profile, cfgs []config.Config) {
-	type group struct {
-		p    workload.Profile
-		cfgs []config.Config
-	}
-	groups := make([]group, 0, len(ps)*(len(cfgs)/batch.DefaultLanes+1))
-	for _, p := range ps {
-		for lo := 0; lo < len(cfgs); lo += batch.DefaultLanes {
-			groups = append(groups, group{p, cfgs[lo:min(lo+batch.DefaultLanes, len(cfgs))]})
-		}
-	}
 	pool := sweep.NewPool(r.Workers)
-	pool.ForEach(context.Background(), len(groups), func(_, i int) {
+	pool.ForEach(context.Background(), len(ps)*len(cfgs), func(_, i int) {
 		n := r.inFlight.Add(1)
 		for {
 			h := r.maxInFlight.Load()
@@ -371,11 +280,13 @@ func (r *Runner) Prefetch(ps []workload.Profile, cfgs []config.Config) {
 				break
 			}
 		}
-		r.RunBatch(groups[i].p, groups[i].cfgs)
+		r.Run(ps[i/len(cfgs)], cfgs[i%len(cfgs)])
 		r.inFlight.Add(-1)
 	})
 }
 
+// simulate runs one configuration with lifetime tracking on and extracts
+// its RunStats.
 func simulate(prog *program.Program, cfg config.Config, instr, sampleInterval uint64) RunStats {
 	cpu := pipeline.New(cfg, prog)
 	cpu.Engine.TrackLifetimes()
@@ -384,18 +295,8 @@ func simulate(prog *program.Program, cfg config.Config, instr, sampleInterval ui
 		sampler = obs.NewSampler(sampleInterval)
 		cpu.Observe(&obs.Observer{Sampler: sampler})
 	}
-	res := cpu.Run(instr)
-	return collect(cpu, cfg, res, sampler)
-}
-
-// collect extracts RunStats from a finished CPU, whose engine must have
-// tracked lifetimes. Shared by solo runs and batched lanes — a single
-// extraction path is what makes RunBatch's memo entries bit-identical to
-// Run's.
-func collect(cpu *pipeline.CPU, cfg config.Config, res pipeline.Result, sampler *obs.Sampler) RunStats {
+	out := RunStats{Result: cpu.Run(instr)}
 	led := cpu.Engine.Ledger
-
-	out := RunStats{Result: res}
 	out.InUse, out.Unused, out.Verified = led.StateFractions()
 	out.NonBranch, out.NonExcept, out.Atomic = led.RegionFractions()
 	out.GapRedefine, out.GapConsume, out.GapCommit = led.EventGaps()

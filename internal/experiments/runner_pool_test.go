@@ -9,8 +9,7 @@ import (
 
 // TestPrefetchWorkerBound is the regression test for the old unbounded
 // goroutine fan-out: a full 23-profile × 8-config prefetch (the Fig 1/11
-// grid shape) must never have more than Workers tasks in flight at once
-// (a task is one lockstep lane group since the batched executor landed).
+// grid shape) must never have more than Workers tasks in flight at once.
 // The high-water mark is tracked atomically inside Prefetch itself.
 func TestPrefetchWorkerBound(t *testing.T) {
 	const workers = 4

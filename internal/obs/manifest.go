@@ -99,13 +99,6 @@ type PerfInfo struct {
 	// AllocsPerInstr is heap allocations per committed instruction over
 	// the whole run, including warmup (steady state is zero).
 	AllocsPerInstr float64 `json:"allocs_per_instr,omitempty"`
-	// Lockstep lane accounting (PR 7): when the run executed as a lane
-	// of a batched group, Lanes is the group width and the phase seconds
-	// split the batch's wall clock into lane construction (Setup) and
-	// lockstep simulation (Exec). All zero for solo runs.
-	Lanes        int     `json:"lanes,omitempty"`
-	SetupSeconds float64 `json:"setup_seconds,omitempty"`
-	ExecSeconds  float64 `json:"exec_seconds,omitempty"`
 }
 
 // SampleInfo records sampled-simulation provenance: how the run's detail

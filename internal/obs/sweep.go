@@ -48,13 +48,14 @@ type SweepInfo struct {
 	CyclesPerSec   float64     `json:"cycles_per_sec"` // executed (non-resumed) runs only
 	Shards         []ShardStat `json:"shards,omitempty"`
 
-	// Lockstep batching telemetry (PR 7). Batch is the configured lane
-	// cap (1 = batching off); Batches counts lockstep groups executed;
-	// BatchedRuns counts units that ran inside multi-lane groups. The
-	// phase seconds attribute batched wall clock to lane construction
-	// (Setup), lockstep simulation (Exec), and — for the whole sweep —
-	// manifest assembly (Merge). Like everything else here this is
-	// scheduling telemetry: batching never changes the result manifest.
+	// Lockstep lane telemetry. Batch is the lane cap (1 when a caller's
+	// RunFunc ran every unit solo); Batches counts lockstep groups
+	// executed; BatchedRuns counts units that ran inside multi-lane
+	// groups. The phase seconds attribute grouped wall clock to lane
+	// construction (Setup), lockstep simulation (Exec), and — for the
+	// whole sweep — manifest assembly (Merge). Like everything else here
+	// this is scheduling telemetry: grouping never changes the result
+	// manifest.
 	Batch        int     `json:"batch,omitempty"`
 	Batches      int     `json:"batches,omitempty"`
 	BatchedRuns  int     `json:"batched_runs,omitempty"`

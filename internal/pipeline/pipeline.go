@@ -282,8 +282,8 @@ const stuckLimit = 1_000_000
 // state at every cycle that is stepped, and at every slice boundary, is
 // identical to a run that steps every cycle, no matter how the budget
 // slices the run: a jump never crosses the end of a slice. That is what
-// lets the batch executor interleave lanes without perturbing a single bit
-// of any lane's result.
+// lets the sweep engine's lockstep lanes interleave without perturbing a
+// single bit of any lane's result.
 func (c *CPU) RunFor(maxInstr, budget uint64) bool {
 	for c.committed < maxInstr {
 		if c.robEmptyAndHalted() {

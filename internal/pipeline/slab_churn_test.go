@@ -89,7 +89,7 @@ func TestSlabChurnGenerationTags(t *testing.T) {
 // concurrent goroutines, then re-checks determinism: each goroutine's
 // result must equal the solo reference for its config. Under -race this
 // doubles as proof that slab recycling touches no cross-CPU state, the
-// property the lockstep batch executor depends on.
+// property the sweep engine's lockstep lanes depend on.
 func TestSlabChurnUnderFlushLoad(t *testing.T) {
 	prog := workload.Micro(5).Generate()
 	const instr = 4000

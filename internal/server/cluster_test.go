@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"atr/internal/experiments"
-	"atr/internal/pipeline"
 	"atr/internal/sweep"
 )
 
@@ -552,7 +551,7 @@ func (f *fakeWorker) execute(t *testing.T, a Assignment) []sweep.Record {
 		t.Fatalf("fake resolve: %v", err)
 	}
 	units := g.Units()
-	fn := sweep.SimScheduler(pipeline.SchedulerEvent, g.Instr)
+	fn := sweep.Sim(g.Instr)
 	var recs []sweep.Record
 	for _, seq := range a.Seqs {
 		recs = append(recs, sweep.ExecuteUnit(context.Background(), units[seq], fn, 0, 0, nil))

@@ -60,10 +60,6 @@ type Options struct {
 	Retries int
 	Backoff time.Duration
 
-	// RunnerCacheCap bounds the in-process worker's program cache (<= 0
-	// selects the experiments.Runner default).
-	RunnerCacheCap int
-
 	// QueueDepth bounds the jobs none of whose units is leased yet;
 	// submissions beyond it are refused with 429 + Retry-After (<= 0
 	// selects 64).
@@ -242,7 +238,6 @@ func newCoordinator(opts Options, fs storeFS) (*Coordinator, error) {
 		nextID:    1,
 		idle:      make(chan struct{}),
 	}
-	c.runner.CacheCap = opts.RunnerCacheCap
 	if opts.SimWorkers > 0 {
 		c.workers[localWorker] = &workerState{id: localWorker, local: true,
 			simWorkers: opts.SimWorkers, registeredAt: c.startedAt, lastBeat: c.startedAt}

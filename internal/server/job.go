@@ -69,7 +69,9 @@ type JobSpec struct {
 // rebuilds the identical grid (same name, same unit keys) after a restart
 // — and a cluster worker handed the same spec resolves the identical
 // grid the coordinator sharded, which is what makes coordinator-side
-// journaling by run key sound.
+// journaling by run key sound. A grid of more than maxJobUnits units is
+// refused from its axis lengths, before any name is resolved; submission,
+// recovery and joined workers all resolve specs here.
 func (s JobSpec) ResolveGrid(defaultInstr uint64) (sweep.Grid, error) {
 	instr := s.Instr
 	if instr == 0 {
@@ -106,20 +108,29 @@ func (s JobSpec) ResolveGrid(defaultInstr uint64) (sweep.Grid, error) {
 		}
 		return g, nil
 	case "grid":
-		modes, err := parseSampleModes(s.SampleModes)
-		if err != nil {
-			return sweep.Grid{}, err
-		}
 		if s.Grid != "" {
 			g, err := sweep.GridByName(s.Grid, instr)
 			if err != nil {
 				return sweep.Grid{}, err
 			}
-			g.SampleModes = modes
+			if err := checkUnits(len(g.Profiles), len(g.PhysRegs), len(g.Schemes), len(s.SampleModes)); err != nil {
+				return sweep.Grid{}, err
+			}
+			g.SampleModes, err = parseSampleModes(s.SampleModes)
+			if err != nil {
+				return sweep.Grid{}, err
+			}
 			return g, nil
 		}
 		if len(s.Profiles) == 0 {
 			return sweep.Grid{}, fmt.Errorf("custom grid declares no profiles")
+		}
+		if err := checkUnits(len(s.Profiles), len(s.PhysRegs), len(s.Schemes), len(s.SampleModes)); err != nil {
+			return sweep.Grid{}, err
+		}
+		modes, err := parseSampleModes(s.SampleModes)
+		if err != nil {
+			return sweep.Grid{}, err
 		}
 		g := sweep.Grid{
 			Name:  s.Name,
@@ -148,6 +159,25 @@ func (s JobSpec) ResolveGrid(defaultInstr uint64) (sweep.Grid, error) {
 		return g, nil
 	}
 	return sweep.Grid{}, fmt.Errorf("unknown job kind %q (want run or grid)", s.Kind)
+}
+
+// maxJobUnits bounds the units one job may declare, at more than five
+// times the full preset's 736. A grid's units cost memory in proportion to
+// their number from the moment they are expanded, so admission counts them
+// from the axis lengths first.
+const maxJobUnits = 4096
+
+// checkUnits refuses a grid whose axes multiply past maxJobUnits; an empty
+// axis counts as one entry, as sweep.Grid expands it. It stops multiplying
+// once the running product passes the bound, so long axes cannot overflow.
+func checkUnits(axes ...int) error {
+	n := 1
+	for _, a := range axes {
+		if n *= max(a, 1); n > maxJobUnits {
+			return fmt.Errorf("grid declares more than %d units", maxJobUnits)
+		}
+	}
+	return nil
 }
 
 // parseSampleModes validates a spec's sample_modes axis and maps the

@@ -56,12 +56,12 @@ func (c *Coordinator) localSlot(slot int) {
 	}
 }
 
-// unitRunner is every worker's RunFunc: sweep.RunUnit on the event
-// scheduler over a shared program cache, with the job's fault injection
-// applied by grid position exactly as the offline engine applies it.
+// unitRunner is every worker's RunFunc: sweep.RunUnit over a shared
+// program cache, with the job's fault injection applied by grid position
+// exactly as the offline engine applies it.
 func unitRunner(runner *experiments.Runner, instr uint64, injectPanic int) sweep.RunFunc {
 	fn := func(_ context.Context, u sweep.Unit) (pipeline.Result, error) {
-		return sweep.RunUnit(u, runner.Program(u.Profile), pipeline.SchedulerEvent, instr)
+		return sweep.RunUnit(u, runner.Program(u.Profile), instr)
 	}
 	if injectPanic > 0 {
 		return sweep.InjectPanicRun(fn, injectPanic)

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -623,6 +624,50 @@ var badSpecs = []JobSpec{
 	{Kind: "run", Bench: "gcc", Regs: 10},
 	{Kind: "run", Bench: "gcc", Regs: -1},
 	{Kind: "grid", Profiles: []string{"gcc"}, PhysRegs: []int{-3}},
+	hugeGridSpec(),
+}
+
+// hugeGridSpec declares 5 profiles × 1,000 register-file sizes × 4
+// schemes: 20,000 units from about 4 KB of JSON.
+func hugeGridSpec() JobSpec {
+	regs := make([]int, 1000)
+	for i := range regs {
+		regs[i] = 40 + i
+	}
+	return JobSpec{
+		Kind:     "grid",
+		Profiles: []string{"gcc", "mcf", "xz", "x264", "nab"},
+		PhysRegs: regs,
+		Schemes:  []string{"baseline", "nonspec-er", "atomic", "combined"},
+	}
+}
+
+// TestOversizedGridRefusedCheaply: admission must refuse a spec declaring
+// more than maxJobUnits units from its axis lengths, before expanding the
+// cross product, so the refusal costs about what decoding the body does.
+func TestOversizedGridRefusedCheaply(t *testing.T) {
+	body, err := json.Marshal(hugeGridSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var spec JobSpec
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&spec); err != nil {
+		t.Fatal(err)
+	}
+	g, err := spec.ResolveGrid(1000)
+	if err == nil {
+		_, err = newJob("j000001", "t", spec, g)
+	}
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("a %d-byte spec declaring 20,000 units was admitted", len(body))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("refusing a %d-byte spec allocated %d bytes, want under 1 MiB", len(body), alloc)
+	}
 }
 
 // TestBadSpecRejected covers admission validation.

@@ -3,29 +3,55 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
-	"atr/internal/batch"
+	"atr/internal/config"
 	"atr/internal/pipeline"
+	"atr/internal/workload"
 )
 
-// TestSweepBatchDeterminism is the batching contract: lockstep batching is
-// a pure scheduling decision, so the same grid run solo (Batch=1), at the
-// default lane width, and at K=4 yields byte-identical manifests — with
-// profile-major deterministic unit order and identical SHA-256 run keys —
-// and the batched engine actually batched.
+// TestBatchMatchesSolo is the lockstep bit-identity oracle: every lane of a
+// runLanes group must produce exactly the Result a solo pipeline.Run
+// produces for the same configuration, across schemes and register-file
+// sizes whose lanes finish at different cycles.
+func TestBatchMatchesSolo(t *testing.T) {
+	p := workload.Micro(7)
+	prog := p.Generate()
+	const instr = 3000
+
+	var cfgs []config.Config
+	for _, n := range []int{64, 96} {
+		for _, s := range config.Schemes() {
+			cfgs = append(cfgs, config.GoldenCove().WithPhysRegs(n).WithScheme(s))
+		}
+	}
+	res, _, _ := runLanes(prog, cfgs, instr)
+	for i, cfg := range cfgs {
+		want := pipeline.New(cfg, prog).Run(instr)
+		if !reflect.DeepEqual(res[i], want) {
+			t.Errorf("lane %d (%s regs=%d): lockstep result diverges from solo\n got %+v\nwant %+v",
+				i, cfg.Scheme, cfg.PhysRegs, res[i], want)
+		}
+	}
+}
+
+// TestSweepBatchDeterminism is the grouping contract: lockstep lanes are a
+// pure scheduling decision, so the same grid run solo (a caller's RunFunc)
+// and on the engine's own grouped path at any worker count yields
+// byte-identical manifests — with profile-major deterministic unit order
+// and identical SHA-256 run keys — and the grouped engine actually grouped.
 func TestSweepBatchDeterminism(t *testing.T) {
 	g := testGrid()
-	run, runBatch := SimPairScheduler(pipeline.SchedulerEvent, g.Instr)
 
-	solo := New(Options{Workers: 2, Batch: 1})
-	want, err := solo.Execute(context.Background(), g, nil)
+	solo := New(Options{Workers: 2})
+	want, err := solo.Execute(context.Background(), g, Sim(g.Instr))
 	if err != nil {
 		t.Fatalf("solo sweep: %v", err)
 	}
 	if solo.Info().Batches != 0 || solo.Info().BatchedRuns != 0 {
-		t.Errorf("Batch=1 engine batched anyway: %+v", solo.Info())
+		t.Errorf("a caller's RunFunc ran in lanes: %+v", solo.Info())
 	}
 	wantBytes := encode(t, want)
 
@@ -37,68 +63,41 @@ func TestSweepBatchDeterminism(t *testing.T) {
 		}
 	}
 
-	for _, k := range []int{0, 4} {
-		eng := New(Options{Workers: 2, Batch: k})
+	for _, workers := range []int{1, 2, 3} {
+		eng := New(Options{Workers: workers})
 		m, err := eng.Execute(context.Background(), g, nil)
 		if err != nil {
-			t.Fatalf("batch=%d sweep: %v", k, err)
+			t.Fatalf("workers=%d sweep: %v", workers, err)
 		}
 		if !bytes.Equal(encode(t, m), wantBytes) {
-			t.Errorf("batch=%d manifest bytes differ from solo", k)
+			t.Errorf("workers=%d manifest bytes differ from solo", workers)
 		}
 		info := eng.Info()
 		if info.Batches == 0 || info.BatchedRuns == 0 {
-			t.Errorf("batch=%d engine never batched: %+v", k, info)
+			t.Errorf("workers=%d engine never grouped: %+v", workers, info)
 		}
 		if info.BatchedRuns+(info.Done+info.Failed-info.BatchedRuns) != info.Total {
-			t.Errorf("batch=%d accounting inconsistent: %+v", k, info)
+			t.Errorf("workers=%d accounting inconsistent: %+v", workers, info)
 		}
-	}
-
-	// An explicit RunFunc with its BatchRun counterpart behaves identically.
-	eng := New(Options{Workers: 1, Batch: 4, BatchRun: runBatch})
-	m, err := eng.Execute(context.Background(), g, run)
-	if err != nil {
-		t.Fatalf("explicit pair sweep: %v", err)
-	}
-	if !bytes.Equal(encode(t, m), wantBytes) {
-		t.Error("explicit RunFunc+BatchRun manifest differs from solo")
-	}
-	if eng.Info().Batches == 0 {
-		t.Errorf("explicit pair never batched: %+v", eng.Info())
-	}
-
-	// A custom RunFunc without a BatchRun counterpart must run unbatched —
-	// the engine has no way to know the lockstep equivalent.
-	eng2 := New(Options{Workers: 1, Batch: 4})
-	m2, err := eng2.Execute(context.Background(), g, run)
-	if err != nil {
-		t.Fatalf("unpaired sweep: %v", err)
-	}
-	if !bytes.Equal(encode(t, m2), wantBytes) {
-		t.Error("unpaired RunFunc manifest differs from solo")
-	}
-	if eng2.Info().Batches != 0 {
-		t.Errorf("unpaired RunFunc was batched: %+v", eng2.Info())
 	}
 }
 
-// TestSweepBatchResumeFromSoloJournal proves journals cross the batching
-// boundary: a journal written by a pre-batch (solo) sweep resumes into a
-// batched sweep byte-identically, and vice versa — records carry no trace
-// of the schedule that produced them.
+// TestSweepBatchResumeFromSoloJournal proves journals cross the grouping
+// boundary: a journal written by a solo sweep resumes into a grouped sweep
+// byte-identically, and vice versa — records carry no trace of the
+// schedule that produced them.
 func TestSweepBatchResumeFromSoloJournal(t *testing.T) {
 	g := testGrid()
 
 	var soloJournal bytes.Buffer
-	solo := New(Options{Workers: 2, Batch: 1, Journal: &soloJournal})
-	want, err := solo.Execute(context.Background(), g, nil)
+	solo := New(Options{Workers: 2, Journal: &soloJournal})
+	want, err := solo.Execute(context.Background(), g, Sim(g.Instr))
 	if err != nil {
 		t.Fatalf("solo sweep: %v", err)
 	}
 	wantBytes := encode(t, want)
 
-	// Truncate the solo journal to a partial sweep, then resume batched.
+	// Truncate the solo journal to a partial sweep, then resume grouped.
 	lines := strings.Split(strings.TrimRight(soloJournal.String(), "\n"), "\n")
 	const keep = 7
 	partial := strings.Join(lines[:1+keep], "\n") + "\n"
@@ -108,52 +107,60 @@ func TestSweepBatchResumeFromSoloJournal(t *testing.T) {
 	}
 
 	var batchedJournal bytes.Buffer
-	batched := New(Options{Workers: 3, Batch: 4, Resume: j, Journal: &batchedJournal})
+	batched := New(Options{Workers: 3, Resume: j, Journal: &batchedJournal})
 	m, err := batched.Execute(context.Background(), g, nil)
 	if err != nil {
-		t.Fatalf("batched resume: %v", err)
+		t.Fatalf("grouped resume: %v", err)
 	}
 	if !bytes.Equal(encode(t, m), wantBytes) {
-		t.Error("batched resume manifest differs from uninterrupted solo manifest")
+		t.Error("grouped resume manifest differs from uninterrupted solo manifest")
 	}
 	if got := batched.Info().Resumed; got != keep {
 		t.Errorf("Resumed = %d, want %d", got, keep)
 	}
 	if batched.Info().Batches == 0 {
-		t.Errorf("resumed sweep never batched the remaining units: %+v", batched.Info())
+		t.Errorf("resumed sweep never grouped the remaining units: %+v", batched.Info())
 	}
 
-	// And back: the batched journal resumes into a solo sweep that executes
+	// And back: the grouped journal resumes into a solo sweep that executes
 	// nothing and reproduces the manifest.
 	j2, err := LoadJournal(bytes.NewReader(batchedJournal.Bytes()))
 	if err != nil {
-		t.Fatalf("load batched journal: %v", err)
+		t.Fatalf("load grouped journal: %v", err)
 	}
-	eng := New(Options{Workers: 1, Batch: 1, Resume: j2})
+	eng := New(Options{Workers: 1, Resume: j2})
 	again, err := eng.Execute(context.Background(), g,
 		func(ctx context.Context, u Unit) (pipeline.Result, error) {
-			t.Errorf("run %s re-executed despite complete batched journal", u.Key)
+			t.Errorf("run %s re-executed despite complete grouped journal", u.Key)
 			return pipeline.Result{}, nil
 		})
 	if err != nil {
-		t.Fatalf("solo resume of batched journal: %v", err)
+		t.Fatalf("solo resume of grouped journal: %v", err)
 	}
 	if !bytes.Equal(encode(t, again), wantBytes) {
-		t.Error("solo resume of batched journal differs from solo manifest")
+		t.Error("solo resume of grouped journal differs from solo manifest")
 	}
 }
 
 // TestSweepBatchInjectPanicFallsBack proves fault semantics survive
-// batching: a poisoned unit is excluded from lockstep groups, panics in
-// the per-unit path on every attempt, and is recorded exactly as an
-// unbatched sweep records it, while its profile-mates still batch.
+// grouping: a poisoned unit is excluded from lockstep groups, panics in
+// the per-unit path on every attempt, and is recorded exactly as a solo
+// sweep records it, while its profile-mates still run in lanes.
 func TestSweepBatchInjectPanicFallsBack(t *testing.T) {
 	g := testGrid()
 	const poisoned = 3
-	eng := New(Options{Workers: 2, Batch: 4, Retries: 2, InjectPanic: poisoned})
+	opts := Options{Workers: 2, Retries: 2, InjectPanic: poisoned}
+	want, err := New(opts).Execute(context.Background(), g, Sim(g.Instr))
+	if err != nil {
+		t.Fatalf("solo sweep with injected panic: %v", err)
+	}
+	eng := New(opts)
 	m, err := eng.Execute(context.Background(), g, nil)
 	if err != nil {
-		t.Fatalf("batched sweep with injected panic: %v", err)
+		t.Fatalf("grouped sweep with injected panic: %v", err)
+	}
+	if !bytes.Equal(encode(t, m), encode(t, want)) {
+		t.Error("grouped manifest with injected panic differs from solo")
 	}
 	if m.Totals.Failed != 1 || m.Totals.Done != m.Grid.Total-1 {
 		t.Fatalf("totals %+v, want exactly one failure in %d runs", m.Totals, m.Grid.Total)
@@ -170,36 +177,40 @@ func TestSweepBatchInjectPanicFallsBack(t *testing.T) {
 		t.Errorf("Retried = %d, want 2", info.Retried)
 	}
 	if info.Batches == 0 {
-		t.Errorf("healthy units never batched around the poisoned one: %+v", info)
+		t.Errorf("healthy units never grouped around the poisoned one: %+v", info)
 	}
 }
 
-// TestSweepBatchRunFailureFallsBack proves a broken BatchRun degrades to
-// per-unit execution instead of corrupting the sweep: every group call
-// fails, yet the manifest is byte-identical to solo and nothing is lost.
+// TestSweepBatchRunFailureFallsBack proves a failing lane group degrades
+// to per-unit execution instead of corrupting the sweep: every config of
+// the grid fails Validate, so every group the engine forms errors, yet
+// each unit is still recorded, with the failure a solo sweep records.
 func TestSweepBatchRunFailureFallsBack(t *testing.T) {
 	g := testGrid()
-	want, err := New(Options{Workers: 1, Batch: 1}).Execute(context.Background(), g, nil)
+	g.PhysRegs = []int{1, 2}
+	want, err := New(Options{Workers: 1}).Execute(context.Background(), g, Sim(g.Instr))
 	if err != nil {
 		t.Fatalf("solo sweep: %v", err)
 	}
 
-	run, _ := SimPairScheduler(pipeline.SchedulerEvent, g.Instr)
-	broken := func(ctx context.Context, us []Unit) ([]pipeline.Result, batch.Perf, error) {
-		panic("batch executor exploded")
-	}
-	eng := New(Options{Workers: 2, Batch: 4, BatchRun: broken})
-	m, err := eng.Execute(context.Background(), g, run)
+	eng := New(Options{Workers: 2})
+	m, err := eng.Execute(context.Background(), g, nil)
 	if err != nil {
-		t.Fatalf("sweep with broken BatchRun: %v", err)
+		t.Fatalf("sweep with failing groups: %v", err)
 	}
 	if !bytes.Equal(encode(t, m), encode(t, want)) {
 		t.Error("fallback manifest differs from solo manifest")
 	}
-	if eng.Info().Batches != 0 {
-		t.Errorf("broken BatchRun recorded successful batches: %+v", eng.Info())
+	info := eng.Info()
+	if info.Batches != 0 {
+		t.Errorf("failing groups recorded successful batches: %+v", info)
 	}
-	if eng.Info().Done != eng.Info().Total {
-		t.Errorf("fallback lost runs: %+v", eng.Info())
+	if info.Failed != info.Total || m.Totals.Failed != m.Grid.Total {
+		t.Errorf("fallback lost runs: info %+v, totals %+v", info, m.Totals)
+	}
+	for _, r := range m.Runs {
+		if !strings.Contains(r.Err, "PhysRegs") {
+			t.Errorf("run %d error = %q, want the config validation failure", r.Seq, r.Err)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"sync"
 	"time"
 
-	"atr/internal/batch"
+	"atr/internal/config"
 	"atr/internal/obs"
 	"atr/internal/pipeline"
 )
@@ -53,25 +53,12 @@ type Options struct {
 	// Called from worker goroutines, so it must be safe for concurrent use.
 	OnRun func(u Unit, worker int, start time.Time, dur time.Duration, errMsg string)
 
-	// Batch selects lockstep lane batching of consecutive pending units
-	// sharing a profile: 0 selects batch.DefaultLanes, 1 disables
-	// batching, K > 1 caps groups at K lanes. Batching is a pure
-	// scheduling decision — lanes are bit-identical to solo runs — so it
-	// can never change a byte of the manifest or the journal records.
-	Batch int
-
-	// BatchRun, when non-nil, is the lockstep counterpart of the RunFunc
-	// passed to Execute (see BatchRunFunc). When Execute's fn is nil the
-	// engine derives both halves from the grid itself. A custom RunFunc
-	// with no BatchRun counterpart runs unbatched.
-	BatchRun BatchRunFunc
-
 	// InjectPanic, when positive, poisons the grid's k-th run (1-based,
 	// grid order): every attempt of that run panics inside the worker.
 	// The panic is recovered, retried, and recorded as a failed run — the
 	// fault-injection hook proving one poisoned run cannot kill a sweep.
-	// A poisoned unit is never batched, so injection always lands in the
-	// retrying per-unit path.
+	// A poisoned unit never joins a lockstep group, so injection always
+	// lands in the retrying per-unit path.
 	InjectPanic int
 
 	// JobID, when non-empty, names the server job this sweep executes on
@@ -107,29 +94,25 @@ func (e *Engine) Info() obs.SweepInfo {
 }
 
 // Execute runs every unit of g that the resume journal does not already
-// cover, using fn (nil selects Sim(g.Instr)), and returns the merged
-// manifest with runs in grid order. The manifest is a pure function of
-// (grid, injection settings): worker count, stealing schedule, and resume
-// splits cannot change a byte of it. On cancellation Execute returns the
-// context error and no manifest; completed runs are already journaled, so
-// a later Execute with Resume picks up where this one stopped.
+// cover, using fn, and returns the merged manifest with runs in grid order.
+// A nil fn selects the engine's own run functions (Sim(g.Instr)), which run
+// consecutive exact units of one profile as lockstep lanes over one shared
+// program image; a caller's fn runs every unit solo. The manifest is a pure
+// function of (grid, injection settings): worker count, stealing schedule,
+// lane grouping and resume splits cannot change a byte of it. On
+// cancellation Execute returns the context error and no manifest;
+// completed runs are already journaled, so a later Execute with Resume
+// picks up where this one stopped.
 func (e *Engine) Execute(ctx context.Context, g Grid, fn RunFunc) (*Manifest, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	bf := e.opts.BatchRun
+	var progs *progCache // non-nil when the engine runs its own units and may group them
+	lanes := 1
 	if fn == nil {
-		fn, bf = SimPairScheduler(pipeline.SchedulerEvent, g.Instr)
-		if e.opts.BatchRun != nil {
-			bf = e.opts.BatchRun
-		}
-	}
-	lanes := e.opts.Batch
-	if lanes == 0 {
-		lanes = batch.DefaultLanes
-	}
-	if bf == nil || lanes < 1 {
-		lanes = 1
+		progs = new(progCache)
+		fn = progs.sim(g.Instr)
+		lanes = laneWidth
 	}
 	units := g.Units()
 	if len(units) == 0 {
@@ -194,7 +177,7 @@ func (e *Engine) Execute(ctx context.Context, g Grid, fn RunFunc) (*Manifest, er
 	// innermost in grid order, so left in place the sampled units would
 	// shred every same-profile run of exact units into singleton groups;
 	// a stable partition (exact first, sampled after) restores the
-	// adjacency batching needs without affecting the manifest, which is
+	// adjacency grouping needs without affecting the manifest, which is
 	// merged in Seq order regardless of dispatch order.
 	if lanes > 1 {
 		exact := make([]int, 0, len(pending))
@@ -210,7 +193,7 @@ func (e *Engine) Execute(ctx context.Context, g Grid, fn RunFunc) (*Manifest, er
 	}
 
 	// Group consecutive pending units sharing a profile into lockstep
-	// batches. Grouping is greedy over pending order, which is grid
+	// lanes. Grouping is greedy over pending order, which is grid
 	// order, so the profile-major grids — 2 register-file sizes × 4
 	// schemes per profile — split into whole lane groups sharing one
 	// program image. A poisoned unit is never grouped: injection must
@@ -242,7 +225,7 @@ func (e *Engine) Execute(ctx context.Context, g Grid, fn RunFunc) (*Manifest, er
 		for i, j := range grp {
 			us[i] = units[j]
 		}
-		if !e.runGroup(ctx, us, bf, worker) {
+		if !e.runGroup(us, progs, g.Instr, worker) {
 			for _, u := range us {
 				e.runSolo(ctx, u, fn, worker)
 			}
@@ -327,22 +310,30 @@ func (e *Engine) runSolo(ctx context.Context, u Unit, fn RunFunc, worker int) {
 	e.finishRun(u, rec, worker, false)
 }
 
-// runGroup executes one profile-homogeneous group of units in lockstep.
-// It reports false — recording nothing — when the batch call errors,
-// panics, or returns the wrong shape; the caller then re-runs every unit
-// through the per-unit path with its full retry budget, so batching only
+// runGroup executes one profile-homogeneous group of exact units in
+// lockstep lanes. It reports false — recording nothing — when a unit's
+// config is invalid or the lanes panic; the caller then re-runs every unit
+// through the per-unit path with its full retry budget, so grouping only
 // ever adds a fast path and never changes failure semantics.
-func (e *Engine) runGroup(ctx context.Context, us []Unit, bf BatchRunFunc, worker int) bool {
+func (e *Engine) runGroup(us []Unit, progs *progCache, instr uint64, worker int) bool {
 	t0 := time.Now()
-	res, perf, err := func() (res []pipeline.Result, perf batch.Perf, err error) {
+	res, setup, exec, err := func() (res []pipeline.Result, setup, exec time.Duration, err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				err = fmt.Errorf("panic: %v", p)
 			}
 		}()
-		return bf(ctx, us)
+		cfgs := make([]config.Config, len(us))
+		for i, u := range us {
+			if err := u.Config.Validate(); err != nil {
+				return nil, 0, 0, err
+			}
+			cfgs[i] = u.Config
+		}
+		res, setup, exec = runLanes(progs.get(us[0].Profile), cfgs, instr)
+		return res, setup, exec, nil
 	}()
-	if err != nil || len(res) != len(us) {
+	if err != nil {
 		return false
 	}
 	busyDur := time.Since(t0)
@@ -350,8 +341,8 @@ func (e *Engine) runGroup(ctx context.Context, us []Unit, bf BatchRunFunc, worke
 	e.mu.Lock()
 	e.info.Batches++
 	e.info.BatchedRuns += len(us)
-	e.info.SetupSeconds += perf.SetupSeconds
-	e.info.ExecSeconds += perf.ExecSeconds
+	e.info.SetupSeconds += setup.Seconds()
+	e.info.ExecSeconds += exec.Seconds()
 	e.mu.Unlock()
 
 	share := busyDur / time.Duration(len(us))

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sync"
 
-	"atr/internal/batch"
 	"atr/internal/checkpoint"
 	"atr/internal/config"
 	"atr/internal/pipeline"
@@ -230,78 +229,51 @@ func GridByName(name string, instr uint64) (Grid, error) {
 // for the engine's manifest-determinism guarantee to hold.
 type RunFunc func(ctx context.Context, u Unit) (pipeline.Result, error)
 
-// BatchRunFunc executes several units sharing one profile in lockstep and
-// returns their results in unit order, plus the batch's phase timing. It
-// must be the exact lockstep counterpart of a RunFunc: results[i] must be
-// byte-identical to what the RunFunc would return for us[i] alone, so the
-// engine can batch or not batch without changing a byte of the manifest.
-// An error (or panic) fails the whole group; the engine then falls back to
-// per-unit execution with the RunFunc, preserving retry and
-// fault-isolation semantics.
-type BatchRunFunc func(ctx context.Context, us []Unit) ([]pipeline.Result, batch.Perf, error)
+// progCache generates each profile's program at most once. Programs are
+// immutable code images, shared freely across workers and lanes.
+type progCache struct {
+	mu    sync.Mutex
+	progs map[string]*progOnce
+}
 
 type progOnce struct {
 	once sync.Once
 	prog *program.Program
 }
 
-// SimPairScheduler returns the standard run functions — solo and lockstep
-// batched — sharing one program cache: simulate each unit's profile under
-// its config for instr instructions with the given scheduler
-// implementation, generating each profile's program at most once per sweep
-// (programs are immutable code images, shared freely across workers and
-// lanes).
-func SimPairScheduler(kind pipeline.SchedulerKind, instr uint64) (RunFunc, BatchRunFunc) {
-	var mu sync.Mutex
-	progs := make(map[string]*progOnce)
-	getProg := func(p workload.Profile) *program.Program {
-		mu.Lock()
-		e, ok := progs[p.Name]
-		if !ok {
-			e = &progOnce{}
-			progs[p.Name] = e
-		}
-		mu.Unlock()
-		e.once.Do(func() { e.prog = p.Generate() })
-		return e.prog
+func (c *progCache) get(p workload.Profile) *program.Program {
+	c.mu.Lock()
+	if c.progs == nil {
+		c.progs = make(map[string]*progOnce)
 	}
-	run := func(ctx context.Context, u Unit) (pipeline.Result, error) {
-		return RunUnit(u, getProg(u.Profile), kind, instr)
+	e, ok := c.progs[p.Name]
+	if !ok {
+		e = &progOnce{}
+		c.progs[p.Name] = e
 	}
-	runBatch := func(ctx context.Context, us []Unit) ([]pipeline.Result, batch.Perf, error) {
-		cfgs := make([]config.Config, len(us))
-		for i, u := range us {
-			if u.Sample != "" {
-				// The engine never groups sampled units; reaching here is a
-				// scheduling bug, and falling back to per-unit execution
-				// (which this error triggers) keeps the sweep correct.
-				return nil, batch.Perf{}, fmt.Errorf("sweep: sampled unit %s cannot run in a lockstep batch", u.Key)
-			}
-			if u.Profile.Name != us[0].Profile.Name {
-				return nil, batch.Perf{}, fmt.Errorf("sweep: batch mixes profiles %q and %q", us[0].Profile.Name, u.Profile.Name)
-			}
-			if err := u.Config.Validate(); err != nil {
-				return nil, batch.Perf{}, err
-			}
-			cfgs[i] = u.Config
-		}
-		prog := getProg(us[0].Profile)
-		lanes, perf := batch.Run(prog, cfgs, instr, batch.Options{Kind: kind})
-		res := make([]pipeline.Result, len(lanes))
-		for i := range lanes {
-			res[i] = lanes[i].Result
-		}
-		return res, perf, nil
-	}
-	return run, runBatch
+	c.mu.Unlock()
+	e.once.Do(func() { e.prog = p.Generate() })
+	return e.prog
 }
+
+// sim is the solo RunFunc over this cache's programs (see Sim).
+func (c *progCache) sim(instr uint64) RunFunc {
+	return func(_ context.Context, u Unit) (pipeline.Result, error) {
+		return RunUnit(u, c.get(u.Profile), instr)
+	}
+}
+
+// Sim returns the standard solo RunFunc: simulate each unit's profile under
+// its config for instr instructions, generating each profile's program at
+// most once per RunFunc. Passed to Execute, it runs every unit solo.
+func Sim(instr uint64) RunFunc { return new(progCache).sim(instr) }
 
 // RunUnit simulates one grid unit over prog, the unit's profile image, for
 // instr instructions: exact detailed simulation, or the unit's sampling
-// plan. It is the one place a unit becomes a pipeline.Result — the solo
-// RunFunc above and every job-service worker call it — so which executor
-// ran a unit can never change its record.
-func RunUnit(u Unit, prog *program.Program, kind pipeline.SchedulerKind, instr uint64) (pipeline.Result, error) {
+// plan. It is the one place a unit becomes a pipeline.Result — Sim and
+// every job-service worker call it — so which executor ran a unit can
+// never change its record.
+func RunUnit(u Unit, prog *program.Program, instr uint64) (pipeline.Result, error) {
 	if err := u.Config.Validate(); err != nil {
 		return pipeline.Result{}, err
 	}
@@ -310,16 +282,7 @@ func RunUnit(u Unit, prog *program.Program, kind pipeline.SchedulerKind, instr u
 		if err != nil {
 			return pipeline.Result{}, err
 		}
-		return checkpoint.Run(u.Config, prog, kind, instr, plan).Result, nil
+		return checkpoint.Run(u.Config, prog, pipeline.SchedulerEvent, instr, plan).Result, nil
 	}
-	return pipeline.NewWithScheduler(u.Config, prog, kind).Run(instr), nil
+	return pipeline.New(u.Config, prog).Run(instr), nil
 }
-
-// SimScheduler returns the standard solo RunFunc (see SimPairScheduler).
-func SimScheduler(kind pipeline.SchedulerKind, instr uint64) RunFunc {
-	run, _ := SimPairScheduler(kind, instr)
-	return run
-}
-
-// Sim is SimScheduler on the default event-driven scheduler.
-func Sim(instr uint64) RunFunc { return SimScheduler(pipeline.SchedulerEvent, instr) }

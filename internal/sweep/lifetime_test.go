@@ -30,10 +30,10 @@ func TestRunUnitTracksNoLifetimes(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		pipeline.NewWithScheduler(cfg, prog, pipeline.SchedulerEvent).Run(instr)
+		pipeline.New(cfg, prog).Run(instr)
 	})
 	unit := testing.AllocsPerRun(5, func() {
-		if _, err := RunUnit(u, prog, pipeline.SchedulerEvent, instr); err != nil {
+		if _, err := RunUnit(u, prog, instr); err != nil {
 			t.Fatal(err)
 		}
 	})

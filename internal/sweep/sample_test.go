@@ -91,34 +91,39 @@ func TestSampleAxisSweep(t *testing.T) {
 }
 
 // TestSampleAxisNeverBatched proves sampled units are excluded from
-// lockstep batching at scheduling time: with batching wide open, every
-// batched run is an exact unit, and the sweep still completes with the
-// deterministic manifest.
+// lockstep groups at scheduling time: on the engine's grouped path, every
+// grouped run is an exact unit, and the sweep still completes with the
+// deterministic manifest. The one-profile grid ends its exact units
+// mid-group, right before a sampled unit of the same profile.
 func TestSampleAxisNeverBatched(t *testing.T) {
-	g := sampleTestGrid()
-	exactRuns := len(testGrid().Units())
-
-	ref := New(Options{Workers: 1, Batch: 1})
-	wantM, err := ref.Execute(context.Background(), g, nil)
-	if err != nil {
-		t.Fatalf("unbatched sweep: %v", err)
-	}
-
-	eng := New(Options{Workers: 4, Batch: 64})
-	m, err := eng.Execute(context.Background(), g, nil)
-	if err != nil {
-		t.Fatalf("batched sweep: %v", err)
-	}
-	info := eng.Info()
-	if info.BatchedRuns == 0 {
-		t.Fatalf("expected the exact half of the grid to batch (batch telemetry: %+v)", info)
-	}
-	if info.BatchedRuns > exactRuns {
-		t.Errorf("%d batched runs exceeds the %d exact units — a sampled unit was batched",
-			info.BatchedRuns, exactRuns)
-	}
-	if !bytes.Equal(encode(t, m), encode(t, wantM)) {
-		t.Errorf("batched manifest differs from unbatched")
+	odd := sampleTestGrid()
+	odd.Profiles, odd.PhysRegs, odd.Schemes = odd.Profiles[:1], odd.PhysRegs[:1], odd.Schemes[:3]
+	for _, g := range []Grid{sampleTestGrid(), odd} {
+		exactRuns := len(g.Units()) / len(g.SampleModes)
+		ref := New(Options{Workers: 1})
+		wantM, err := ref.Execute(context.Background(), g, Sim(g.Instr))
+		if err != nil {
+			t.Fatalf("solo sweep: %v", err)
+		}
+		for _, workers := range []int{1, 4} {
+			eng := New(Options{Workers: workers})
+			m, err := eng.Execute(context.Background(), g, nil)
+			if err != nil {
+				t.Fatalf("%d units, workers=%d: grouped sweep: %v", len(g.Units()), workers, err)
+			}
+			info := eng.Info()
+			if info.BatchedRuns == 0 {
+				t.Fatalf("%d units, workers=%d: expected the exact units to run in lanes (telemetry: %+v)",
+					len(g.Units()), workers, info)
+			}
+			if info.BatchedRuns > exactRuns {
+				t.Errorf("%d units, workers=%d: %d grouped runs exceeds the %d exact units — a sampled unit was grouped",
+					len(g.Units()), workers, info.BatchedRuns, exactRuns)
+			}
+			if !bytes.Equal(encode(t, m), encode(t, wantM)) {
+				t.Errorf("%d units, workers=%d: grouped manifest differs from solo", len(g.Units()), workers)
+			}
+		}
 	}
 }
 
