@@ -36,18 +36,28 @@ import (
 // numbers (cmd/atrsweep -n takes any budget).
 const benchInstr = 10_000
 
+// figure runs the named figure's grid on the sweep engine, as atrsweep -fig
+// does, and returns the stats its table reads.
+func figure(b *testing.B, name string) experiments.Stats {
+	figs, _ := experiments.Lookup(name)
+	g := experiments.Grid("bench", figs, benchInstr)
+	m, err := sweep.New(sweep.Options{}).Execute(context.Background(), g, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return experiments.Index(g, m)
+}
+
 func BenchmarkFig01RFScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchInstr)
-		res := experiments.Fig1(r, io.Discard)
+		res := experiments.Fig1(figure(b, "1"), io.Discard)
 		b.ReportMetric(res.Avg64Ratio, "norm-ipc@64")
 	}
 }
 
 func BenchmarkFig04Lifecycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchInstr)
-		res := experiments.Fig4(r, io.Discard)
+		res := experiments.Fig4(figure(b, "4"), io.Discard)
 		b.ReportMetric(100*res.IntUnused, "int-unused-%")
 		b.ReportMetric(100*res.IntVerified, "int-verified-%")
 	}
@@ -55,8 +65,7 @@ func BenchmarkFig04Lifecycle(b *testing.B) {
 
 func BenchmarkFig06AtomicRatio(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchInstr)
-		res := experiments.Fig6(r, io.Discard)
+		res := experiments.Fig6(figure(b, "6"), io.Discard)
 		b.ReportMetric(100*res.IntAtomic, "int-atomic-%")
 		b.ReportMetric(100*res.FPAtomic, "fp-atomic-%")
 	}
@@ -64,8 +73,7 @@ func BenchmarkFig06AtomicRatio(b *testing.B) {
 
 func BenchmarkFig10Speedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchInstr)
-		res := experiments.Fig10(r, io.Discard)
+		res := experiments.Fig10(figure(b, "10"), io.Discard)
 		b.ReportMetric(res.Avg[64][config.SchemeATR]["int"], "atr64-int-%")
 		b.ReportMetric(res.Avg[64][config.SchemeNonSpecER]["int"], "er64-int-%")
 		b.ReportMetric(res.Avg[224][config.SchemeATR]["int"], "atr224-int-%")
@@ -74,8 +82,7 @@ func BenchmarkFig10Speedup(b *testing.B) {
 
 func BenchmarkFig11RFSensitivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchInstr)
-		res := experiments.Fig11(r, io.Discard)
+		res := experiments.Fig11(figure(b, "11"), io.Discard)
 		b.ReportMetric(res.IntAvg[0], "atr-int@64-%")
 		b.ReportMetric(res.IntAvg[len(res.IntAvg)-1], "atr-int@280-%")
 	}
@@ -83,24 +90,21 @@ func BenchmarkFig11RFSensitivity(b *testing.B) {
 
 func BenchmarkFig12ConsumerHist(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchInstr)
-		res := experiments.Fig12(r, io.Discard)
+		res := experiments.Fig12(figure(b, "12"), io.Discard)
 		b.ReportMetric(res.AvgMean, "consumers/region")
 	}
 }
 
 func BenchmarkFig13PipelineDelay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchInstr)
-		res := experiments.Fig13(r, io.Discard)
+		res := experiments.Fig13(figure(b, "13"), io.Discard)
 		b.ReportMetric(res.IntAvg[0]-res.IntAvg[2], "delay2-cost-pts")
 	}
 }
 
 func BenchmarkFig14EventGaps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchInstr)
-		res := experiments.Fig14(r, io.Discard)
+		res := experiments.Fig14(figure(b, "14"), io.Discard)
 		var redef, commit float64
 		for _, v := range res.PerBench {
 			redef += v[0]
@@ -114,8 +118,7 @@ func BenchmarkFig14EventGaps(b *testing.B) {
 
 func BenchmarkFig15Overhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchInstr)
-		res := experiments.Fig15(r, io.Discard)
+		res := experiments.Fig15(figure(b, "15"), io.Discard)
 		b.ReportMetric(100*res.Reduction[config.SchemeATR], "atr-rf-reduction-%")
 		b.ReportMetric(100*res.Reduction[config.SchemeCombined], "combined-rf-reduction-%")
 	}
@@ -461,42 +464,38 @@ func BenchmarkCounters(b *testing.B) {
 	})
 }
 
-// BenchmarkSweepWarm measures experiment-runner throughput on a small
-// Fig 10-shaped grid (four integer profiles × two RF sizes × all schemes)
-// with a fresh runner per iteration: program generation is amortized by the
-// runner's shared program cache, so this tracks the sweep-side win of
-// generating each profile once instead of once per configuration.
+// BenchmarkSweepWarm measures figure-sweep throughput on a small Fig
+// 10-shaped grid (four integer profiles × two RF sizes × all schemes) run
+// as the figures run: on a fresh engine per iteration, solo and with
+// lifetime detail, each profile's program generated once by the engine's
+// shared program cache.
 func BenchmarkSweepWarm(b *testing.B) {
-	var ps []workload.Profile
+	g := sweep.Grid{
+		Name: "warm", Instr: 4000, Base: config.GoldenCove(),
+		PhysRegs: []int{64, 224}, Schemes: config.Schemes(), Detail: true,
+	}
 	for _, p := range workload.Profiles() {
 		if p.Class == "int" {
-			ps = append(ps, p)
-			if len(ps) == 4 {
+			g.Profiles = append(g.Profiles, p)
+			if len(g.Profiles) == 4 {
 				break
 			}
 		}
 	}
-	var cfgs []config.Config
-	for _, n := range []int{64, 224} {
-		for _, s := range config.Schemes() {
-			cfgs = append(cfgs, config.GoldenCove().WithPhysRegs(n).WithScheme(s))
-		}
-	}
 	b.ResetTimer()
-	var runs int
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(4000)
-		r.Prefetch(ps, cfgs)
-		var instr uint64
-		runs, instr, cycles = r.Totals()
-		_ = instr
-	}
-	if runs != len(ps)*len(cfgs) {
-		b.Fatalf("runs = %d, want %d", runs, len(ps)*len(cfgs))
+		m, err := sweep.New(sweep.Options{}).Execute(context.Background(), g, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if m.Totals.Done != len(g.Profiles)*len(g.PhysRegs)*len(g.Schemes) {
+			b.Fatalf("runs = %d, want %d", m.Totals.Done, len(g.Profiles)*len(g.PhysRegs)*len(g.Schemes))
+		}
+		cycles += m.Totals.Cycles
 	}
 	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(cycles)*float64(b.N)/sec, "cycles/s")
+		b.ReportMetric(float64(cycles)/sec, "cycles/s")
 	}
 }
 

@@ -1,15 +1,18 @@
 // Command atrstats runs the paper's analysis-section experiments: the
 // register lifetime state split (Fig 4), the atomic region ratios (Fig 6),
 // the consumer count distribution (Fig 12), and the event-gap analysis
-// (Fig 14). It also cross-validates the simulator's region classification
-// against the independent trace-based analyzer.
+// (Fig 14). The figures' runs execute as one sweep grid on the sweep
+// engine, as atrsweep's figure mode runs them. It also cross-validates the
+// simulator's region classification against the independent trace-based
+// analyzer.
 //
 // Usage:
 //
-//	atrstats [-n instructions] [-fig 4|6|12|14|xcheck] [-json results.json]
+//	atrstats [-n instructions] [-fig 4|6|12|14|xcheck|all] [-json results.json]
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -20,6 +23,7 @@ import (
 	"atr/internal/isa"
 	"atr/internal/obs"
 	"atr/internal/pipeline"
+	"atr/internal/sweep"
 	"atr/internal/trace"
 	"atr/internal/workload"
 )
@@ -30,31 +34,40 @@ func main() {
 	jsonPath := flag.String("json", "", "write results to this file as JSON")
 	flag.Parse()
 
-	r := experiments.NewRunner(*n)
-	w := os.Stdout
-	results := make(map[string]any)
-	switch *fig {
-	case "4":
-		results["fig4"] = experiments.Fig4(r, w)
-	case "6":
-		results["fig6"] = experiments.Fig6(r, w)
-	case "12":
-		results["fig12"] = experiments.Fig12(r, w)
-	case "14":
-		results["fig14"] = experiments.Fig14(r, w)
-	case "xcheck":
-		results["xcheck"] = crossCheck(int(*n), w)
-	case "all":
-		results["fig4"] = experiments.Fig4(r, w)
-		results["fig6"] = experiments.Fig6(r, w)
-		results["fig12"] = experiments.Fig12(r, w)
-		results["fig14"] = experiments.Fig14(r, w)
-		results["xcheck"] = crossCheck(int(*n), w)
-	default:
+	var figs []experiments.Figure
+	for _, f := range experiments.Figures() {
+		switch f.Name {
+		case "fig4", "fig6", "fig12", "fig14":
+			if *fig == "all" || f.Name == "fig"+*fig {
+				figs = append(figs, f)
+			}
+		}
+	}
+	if figs == nil && *fig != "xcheck" {
 		fmt.Fprintf(os.Stderr, "atrstats: unknown figure %q\n", *fig)
 		os.Exit(2)
 	}
 
+	w := os.Stdout
+	results := make(map[string]any)
+	if len(figs) > 0 {
+		g := experiments.Grid("stats-"+*fig, figs, *n)
+		m, err := sweep.New(sweep.Options{}).Execute(context.Background(), g, nil)
+		if err == nil && m.Totals.Failed > 0 {
+			err = fmt.Errorf("%d of %d runs failed", m.Totals.Failed, len(m.Runs))
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "atrstats:", err)
+			os.Exit(1)
+		}
+		s := experiments.Index(g, m)
+		for _, f := range figs {
+			results[f.Name] = f.Render(s, w)
+		}
+	}
+	if *fig == "xcheck" || *fig == "all" {
+		results["xcheck"] = crossCheck(int(*n), w)
+	}
 	if *jsonPath != "" {
 		out := map[string]any{
 			"schema":  "atr-stats-manifest",

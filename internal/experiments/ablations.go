@@ -29,8 +29,29 @@ type AblationResult struct {
 	ATROnly      float64
 }
 
+// ablationConfigs lists the configs Ablations reads: the 64-register
+// baseline and each study's variant of it.
+func ablationConfigs() []config.Config {
+	b := base().WithPhysRegs(64)
+	cfgs := []config.Config{b}
+	for _, bits := range []int{2, 3, 4, 0} {
+		c := b.WithScheme(config.SchemeATR)
+		c.ConsumerCounterBits = bits
+		cfgs = append(cfgs, c)
+	}
+	er := b.WithScheme(config.SchemeNonSpecER)
+	erWait := er
+	erWait.MemPrecommitAtExec = false
+	comb := b.WithScheme(config.SchemeCombined)
+	walk := comb
+	walk.WalkRecovery = true
+	me := b
+	me.MoveElimination = true
+	return append(cfgs, er, erWait, comb, walk, b.WithScheme(config.SchemeATR), me, me.WithScheme(config.SchemeATR))
+}
+
 // Ablations runs the design-choice studies on the integer suite.
-func Ablations(r *Runner, w io.Writer) AblationResult {
+func Ablations(r Stats, w io.Writer) AblationResult {
 	profiles := workload.IntProfiles()
 	res := AblationResult{CounterWidth: map[int]float64{}}
 

@@ -1,53 +1,62 @@
 package experiments
 
 import (
+	"bytes"
+	"context"
+	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
 	"atr/internal/config"
+	"atr/internal/pipeline"
+	"atr/internal/power"
+	"atr/internal/program"
+	"atr/internal/sweep"
 	"atr/internal/workload"
 )
 
-// testRunner keeps experiment tests fast: small instruction budget.
-func testRunner() *Runner { return NewRunner(8000) }
+// testInstr keeps experiment tests fast: small instruction budget.
+const testInstr = 8000
 
-func TestRunnerMemoizes(t *testing.T) {
-	r := testRunner()
-	p, _ := workload.ByName("exchange2")
-	cfg := config.GoldenCove().WithPhysRegs(64)
-	a := r.Run(p, cfg)
-	b := r.Run(p, cfg)
-	if a.Result != b.Result || a.Activity != b.Activity {
-		t.Error("memoized runs differ")
+// execute runs figs' grid on the sweep engine, as atrsweep does, and
+// indexes its records.
+func execute(t testing.TB, figs []Figure, instr uint64) Stats {
+	t.Helper()
+	g := Grid("test", figs, instr)
+	m, err := sweep.New(sweep.Options{}).Execute(context.Background(), g, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.Committed == 0 || a.IPC <= 0 {
-		t.Errorf("empty run stats: %+v", a.Result)
+	if m.Totals.Failed != 0 {
+		t.Fatalf("%d runs failed", m.Totals.Failed)
 	}
+	return Index(g, m)
 }
 
-func TestRunnerKeyDistinguishesConfigs(t *testing.T) {
-	p, _ := workload.ByName("exchange2")
-	a := key(p, config.GoldenCove().WithPhysRegs(64))
-	b := key(p, config.GoldenCove().WithPhysRegs(96))
-	c := key(p, config.GoldenCove().WithPhysRegs(64).WithScheme(config.SchemeATR))
-	if a == b || a == c {
-		t.Error("keys collide across configs")
+// figure runs the named figure's grid at the test budget.
+func figure(t testing.TB, name string) Stats {
+	t.Helper()
+	figs, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no figure %q", name)
 	}
+	return execute(t, figs, testInstr)
 }
 
 func TestRunStatsPopulated(t *testing.T) {
-	r := testRunner()
 	p, _ := workload.ByName("omnetpp")
-	s := r.Run(p, config.GoldenCove().WithScheme(config.SchemeATR).WithPhysRegs(64))
+	cfg := config.GoldenCove().WithScheme(config.SchemeATR).WithPhysRegs(64)
+	s := execute(t, []Figure{{Runs: []sweep.Run{{Profile: p, Config: cfg}}}}, testInstr).Run(p, cfg)
 	if s.Atomic <= 0 {
 		t.Error("atomic ratio missing")
 	}
 	if s.InUse+s.Unused+s.Verified < 0.99 {
 		t.Errorf("state split incomplete: %v+%v+%v", s.InUse, s.Unused, s.Verified)
 	}
-	if s.ATRReleases == 0 {
-		t.Error("no ATR releases recorded")
+	if s.Activity.Committed != s.Committed || s.Activity.Cycles != s.Cycles {
+		t.Errorf("activity counts %+v disagree with the result %+v", s.Activity, s.Result)
 	}
 	if s.Power.Total() <= 0 {
 		t.Error("power model not evaluated")
@@ -61,8 +70,7 @@ func TestFig1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	r := testRunner()
-	res := Fig1(r, io.Discard)
+	res := Fig1(figure(t, "1"), io.Discard)
 	if len(res.Average) != len(RFSizes) {
 		t.Fatal("missing sizes")
 	}
@@ -81,8 +89,7 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	r := testRunner()
-	res := Fig4(r, io.Discard)
+	res := Fig4(figure(t, "4"), io.Discard)
 	sum := res.IntInUse + res.IntUnused + res.IntVerified
 	if sum < 0.99 || sum > 1.01 {
 		t.Errorf("int fractions sum to %v", sum)
@@ -93,8 +100,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	r := testRunner()
-	res := Fig6(r, io.Discard)
+	res := Fig6(figure(t, "6"), io.Discard)
 	// The paper's headline analysis: a sizeable fraction of allocations is
 	// atomic (17% int / 13% fp). Accept a generous band.
 	if res.IntAtomic < 0.08 || res.IntAtomic > 0.35 {
@@ -114,8 +120,7 @@ func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	r := testRunner()
-	res := Fig10(r, io.Discard)
+	res := Fig10(figure(t, "10"), io.Discard)
 	for _, class := range []string{"int", "fp"} {
 		atr64 := res.Avg[64][config.SchemeATR][class]
 		er64 := res.Avg[64][config.SchemeNonSpecER][class]
@@ -140,8 +145,7 @@ func TestFig13Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	r := testRunner()
-	res := Fig13(r, io.Discard)
+	res := Fig13(figure(t, "13"), io.Discard)
 	// The paper: a 1-2 cycle delay has negligible effect. Allow 2 points.
 	if diff := res.IntAvg[0] - res.IntAvg[2]; diff > 2.5 {
 		t.Errorf("delay-2 costs %.2f points, paper says negligible (%v)", diff, res.IntAvg)
@@ -175,8 +179,7 @@ func TestFig11Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	r := testRunner()
-	res := Fig11(r, io.Discard)
+	res := Fig11(figure(t, "11"), io.Discard)
 	if len(res.IntAvg) != len(RFSizes) || len(res.FPAvg) != len(RFSizes) {
 		t.Fatal("missing points")
 	}
@@ -188,8 +191,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	r := testRunner()
-	res := Fig12(r, io.Discard)
+	res := Fig12(figure(t, "12"), io.Discard)
 	if res.AvgMeanConsumed < 0.5 || res.AvgMeanConsumed > 4 {
 		t.Errorf("mean consumers over consumed regions = %.2f, paper says 1-2", res.AvgMeanConsumed)
 	}
@@ -208,8 +210,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig14Shape(t *testing.T) {
-	r := testRunner()
-	res := Fig14(r, io.Discard)
+	res := Fig14(figure(t, "14"), io.Discard)
 	for name, g := range res.PerBench {
 		redef, consume, commit := g[0], g[1], g[2]
 		if commit < redef {
@@ -228,8 +229,7 @@ func TestFig15Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	r := testRunner()
-	res := Fig15(r, io.Discard)
+	res := Fig15(figure(t, "15"), io.Discard)
 	for _, s := range config.Schemes() {
 		if res.MinRegs[s] < 64 || res.MinRegs[s] > 280 {
 			t.Errorf("%v: min regs %d out of range", s, res.MinRegs[s])
@@ -251,8 +251,7 @@ func TestAblationsShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	r := testRunner()
-	res := Ablations(r, io.Discard)
+	res := Ablations(figure(t, "ablations"), io.Discard)
 	// §5.4: 3-bit counter within noise of unbounded.
 	if d := res.CounterWidth[0] - res.CounterWidth[3]; d > 1.5 {
 		t.Errorf("3-bit counter loses %.2f points vs unbounded; paper says negligible", d)
@@ -279,15 +278,193 @@ func TestAllRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("everything")
 	}
-	r := NewRunner(3000) // minimal budget: exercises every code path
+	figs := Figures()
+	s := execute(t, figs, 3000) // minimal budget: exercises every code path
 	var sb strings.Builder
-	All(r, &sb)
+	for _, f := range figs {
+		f.Render(s, &sb)
+	}
 	out := sb.String()
 	for _, want := range []string{"Figure 1", "Figure 4", "Figure 6", "Figure 10",
 		"Figure 11", "Figure 12", "Figure 13", "Figure 14", "Figure 15",
 		"Section 4.4", "Ablation"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("All output missing %q", want)
+		}
+	}
+}
+
+// TestGeomeanExtremes pins the log-domain formulation: a running product
+// over these inputs would overflow (or underflow) float64 and return +Inf
+// or 0, but the mean of logs stays in range.
+func TestGeomeanExtremes(t *testing.T) {
+	big := make([]float64, 50)
+	tiny := make([]float64, 50)
+	for i := range big {
+		big[i] = 1e300 // product overflows after 2 elements
+		tiny[i] = 1e-300
+	}
+	if g := geomean(big); math.IsInf(g, 0) || math.Abs(g-1e300)/1e300 > 1e-9 {
+		t.Errorf("geomean of 1e300s = %v, want 1e300", g)
+	}
+	if g := geomean(tiny); g == 0 || math.Abs(g-1e-300)/1e-300 > 1e-9 {
+		t.Errorf("geomean of 1e-300s = %v, want 1e-300", g)
+	}
+	mixed := append(append([]float64{}, big...), tiny...)
+	if g := geomean(mixed); math.Abs(g-1) > 1e-9 {
+		t.Errorf("geomean of balanced extremes = %v, want 1", g)
+	}
+	if g := geomean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
+		t.Errorf("geomean(2,8) = %v, want 4", g)
+	}
+}
+
+// TestGridRunsEachRunOnce: a figure set's grid holds every run any of its
+// figures declares exactly once, and no run that none declares, so it is
+// smaller than the figures' declarations put together.
+func TestGridRunsEachRunOnce(t *testing.T) {
+	figs := Figures()
+	g := Grid("all", figs, 1000)
+	inGrid := make(map[string]int)
+	for _, r := range g.Runs {
+		inGrid[sweep.MemoKey(r.Profile, r.Config)]++
+	}
+	declared := 0
+	isDeclared := make(map[string]bool)
+	for _, f := range figs {
+		declared += len(f.Runs)
+		for _, r := range f.Runs {
+			k := sweep.MemoKey(r.Profile, r.Config)
+			isDeclared[k] = true
+			if inGrid[k] != 1 {
+				t.Errorf("%s: run %s appears %d times in the grid", f.Name, k, inGrid[k])
+			}
+		}
+	}
+	for k := range inGrid {
+		if !isDeclared[k] {
+			t.Errorf("grid runs %s, which no figure declares", k)
+		}
+	}
+	if len(g.Runs) >= declared {
+		t.Errorf("grid has %d runs, declarations %d: nothing was shared", len(g.Runs), declared)
+	}
+	if len(g.Runs) != 1434 {
+		t.Errorf("grid has %d runs, want the 1,434 distinct runs of every figure", len(g.Runs))
+	}
+}
+
+// simulate is the former experiments runner's run function, kept as the
+// oracle for the engine's records: one exact run with lifetime tracking
+// on, its stats read straight off the CPU.
+func simulate(prog *program.Program, cfg config.Config, instr uint64) RunStats {
+	cpu := pipeline.New(cfg, prog)
+	cpu.Engine.TrackLifetimes()
+	out := RunStats{Result: cpu.Run(instr)}
+	led := cpu.Engine.Ledger
+	out.InUse, out.Unused, out.Verified = led.StateFractions()
+	out.NonBranch, out.NonExcept, out.Atomic = led.RegionFractions()
+	out.GapRedefine, out.GapConsume, out.GapCommit = led.EventGaps()
+	if n := led.ConsumerHist.Count(); n > 0 {
+		for v := 0; v <= 6; v++ {
+			out.ConsumerFrac[v] = led.ConsumerHist.Fraction(v)
+		}
+		var tail float64
+		for v := 0; v <= 6; v++ {
+			tail += out.ConsumerFrac[v]
+		}
+		if tail < 1 {
+			out.ConsumerFrac[7] = 1 - tail
+		}
+	}
+	out.Activity = cpu.Activity()
+	out.Power = power.RuntimePower(cfg, out.Activity)
+	return out
+}
+
+// renderText renders f from s, turning a read of a missing run into an
+// error.
+func renderText(f Figure, s Stats) (text string, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%v", p)
+		}
+	}()
+	var buf bytes.Buffer
+	f.Render(s, &buf)
+	return buf.String(), nil
+}
+
+// TestFiguresMatchDirectRuns renders every figure from the engine's
+// records — as merged, and as resumed from the sweep's journal — and from
+// direct runs of exactly the pairs the figure declares, through the oracle
+// simulate. The texts must be byte-identical. A figure that reads an
+// undeclared run fails on its direct stats; a Detail lost in the engine or
+// the journal, or a run the grid dropped or merged, fails on the engine's.
+func TestFiguresMatchDirectRuns(t *testing.T) {
+	const instr = 1500
+	figs := Figures()
+	g := Grid("all", figs, instr)
+	var journal bytes.Buffer
+	m, err := sweep.New(sweep.Options{Journal: &journal}).Execute(context.Background(), g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := sweep.LoadJournal(&journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sweep.New(sweep.Options{Resume: j})
+	resumed, err := eng.Execute(context.Background(), g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Info().Resumed; got != len(g.Runs) {
+		t.Fatalf("resumed %d of %d runs from the journal", got, len(g.Runs))
+	}
+	fromEngine, fromJournal := Index(g, m), Index(g, resumed)
+
+	// Simulate every declared pair once, on as many cores as the engine.
+	progs := make(map[string]*program.Program)
+	index := make(map[string]int)
+	var runs []sweep.Run
+	for _, f := range figs {
+		for _, r := range f.Runs {
+			if progs[r.Profile.Name] == nil {
+				progs[r.Profile.Name] = r.Profile.Generate()
+			}
+			if k := sweep.MemoKey(r.Profile, r.Config); index[k] == 0 {
+				runs = append(runs, r)
+				index[k] = len(runs)
+			}
+		}
+	}
+	direct := make([]RunStats, len(runs))
+	sweep.NewPool(0).ForEach(context.Background(), len(runs), func(_, i int) {
+		direct[i] = simulate(progs[runs[i].Profile.Name], runs[i].Config, instr)
+	})
+
+	for _, f := range figs {
+		own := make(Stats)
+		for _, r := range f.Runs {
+			k := sweep.MemoKey(r.Profile, r.Config)
+			own[k] = direct[index[k]-1]
+		}
+		want, err := renderText(f, own)
+		if err != nil {
+			t.Errorf("%s from its declared runs: %v", f.Name, err)
+			continue
+		}
+		for _, src := range []struct {
+			name string
+			s    Stats
+		}{{"engine", fromEngine}, {"journal", fromJournal}} {
+			got, err := renderText(f, src.s)
+			if err != nil {
+				t.Errorf("%s from the %s's records: %v", f.Name, src.name, err)
+			} else if got != want {
+				t.Errorf("%s from the %s's records differs from direct runs:\n%s\nwant:\n%s", f.Name, src.name, got, want)
+			}
 		}
 	}
 }

@@ -1,12 +1,23 @@
+// Package experiments regenerates every table and figure of the paper's
+// evaluation section (Figs 1, 4, 6, 10–15, the §4.4 synthesis numbers and
+// the ablation studies) on the synthetic SPEC2017-like workloads. Each
+// figure declares the (profile, config) runs it reads; a figure set runs as
+// one sweep grid, the deduplicated union of its figures' runs, on the sweep
+// engine, and each figure renders its table from the records. Each table
+// prints the same rows/series the paper reports, side by side with the
+// paper's published values where the paper gives a number.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"atr/internal/config"
 	"atr/internal/logicsim"
+	"atr/internal/pipeline"
 	"atr/internal/power"
+	"atr/internal/sweep"
 	"atr/internal/workload"
 )
 
@@ -14,6 +25,167 @@ import (
 var RFSizes = []int{64, 96, 128, 160, 192, 224, 256, 280}
 
 func base() config.Config { return config.GoldenCove() }
+
+// RunStats is everything a figure reads from one run: its Result, its
+// Detail, and the power model priced over the Detail's activity counts.
+type RunStats struct {
+	pipeline.Result
+	sweep.Detail
+	Power power.Power
+}
+
+// Stats holds the runs a figure set executed, by sweep.MemoKey.
+type Stats map[string]RunStats
+
+// Run returns the stats of profile p under cfg. It panics on a run the
+// figure set did not declare, so a figure cannot read past its grid.
+func (s Stats) Run(p workload.Profile, cfg config.Config) RunStats {
+	st, ok := s[sweep.MemoKey(p, cfg)]
+	if !ok {
+		panic(fmt.Sprintf("experiments: figure reads undeclared run %s", sweep.MemoKey(p, cfg)))
+	}
+	return st
+}
+
+// Figure is one table of the evaluation: the runs it reads and the
+// function that prints the table from their stats and returns its result.
+type Figure struct {
+	Name   string // "fig1" … "fig15", "logic", "ablations"
+	Runs   []sweep.Run
+	Render func(s Stats, w io.Writer) any
+}
+
+// Figures lists every figure in print order: 1, 4, 6, 10, 11, 12, 13, 14,
+// 15, the §4.4 logic and the ablations.
+func Figures() []Figure {
+	all, ints := workload.Profiles(), workload.IntProfiles()
+	fig1 := []config.Config{base().WithPhysRegs(0)}
+	var fig10, fig11, fig13, fig15 []config.Config
+	for _, n := range RFSizes {
+		fig1 = append(fig1, base().WithPhysRegs(n))
+		fig11 = append(fig11, base().WithPhysRegs(n), base().WithPhysRegs(n).WithScheme(config.SchemeATR))
+	}
+	for _, n := range []int{64, 224} {
+		for _, s := range config.Schemes() {
+			fig10 = append(fig10, base().WithPhysRegs(n).WithScheme(s))
+		}
+	}
+	for _, d := range []int{0, 1, 2} {
+		cfg := base().WithPhysRegs(64).WithScheme(config.SchemeATR)
+		cfg.RedefineDelay = d
+		fig13 = append(fig13, cfg)
+	}
+	fig13 = append(fig13, base().WithPhysRegs(64))
+	for _, s := range config.Schemes() {
+		for _, n := range fig15Sizes {
+			fig15 = append(fig15, base().WithPhysRegs(n).WithScheme(s))
+		}
+	}
+	atr := base().WithScheme(config.SchemeATR)
+	return []Figure{
+		{"fig1", product(ints, fig1), render(Fig1)},
+		{"fig4", product(all, []config.Config{base()}), render(Fig4)},
+		{"fig6", product(all, []config.Config{base()}), render(Fig6)},
+		{"fig10", product(all, fig10), render(Fig10)},
+		{"fig11", product(all, fig11), render(Fig11)},
+		{"fig12", product(all, []config.Config{atr}), render(Fig12)},
+		{"fig13", product(ints, fig13), render(Fig13)},
+		{"fig14", product(ints, []config.Config{atr}), render(Fig14)},
+		{"fig15", product(all, fig15), render(Fig15)},
+		{"logic", nil, func(_ Stats, w io.Writer) any { return Logic(w) }},
+		{"ablations", product(ints, ablationConfigs()), render(Ablations)},
+	}
+}
+
+// Lookup returns the figure set a -fig flag names: "all", or one figure
+// by its number ("10") or name ("logic").
+func Lookup(name string) ([]Figure, bool) {
+	figs := Figures()
+	if name == "all" {
+		return figs, true
+	}
+	for _, f := range figs {
+		if f.Name == name || f.Name == "fig"+name {
+			return []Figure{f}, true
+		}
+	}
+	return nil, false
+}
+
+// Grid is the sweep grid of a figure set: the union of its figures' runs,
+// each (profile, config) once, in first-declared order. Its records carry
+// the Detail the analysis figures read.
+func Grid(name string, figs []Figure, instr uint64) sweep.Grid {
+	g := sweep.Grid{Name: name, Instr: instr, Detail: true}
+	seen := make(map[string]bool)
+	for _, f := range figs {
+		for _, r := range f.Runs {
+			if k := sweep.MemoKey(r.Profile, r.Config); !seen[k] {
+				seen[k] = true
+				g.Runs = append(g.Runs, r)
+			}
+		}
+	}
+	return g
+}
+
+// Index maps the records of m, the manifest the engine merged for g, back
+// to their (profile, config) runs.
+func Index(g sweep.Grid, m *sweep.Manifest) Stats {
+	s := make(Stats, len(m.Runs))
+	for i, u := range g.Units() {
+		rec := m.Runs[i]
+		st := RunStats{Result: rec.Result}
+		if rec.Detail != nil {
+			st.Detail = *rec.Detail
+		}
+		st.Power = power.RuntimePower(u.Config, st.Activity)
+		s[sweep.MemoKey(u.Profile, u.Config)] = st
+	}
+	return s
+}
+
+// product declares every profile under every config.
+func product(ps []workload.Profile, cfgs []config.Config) []sweep.Run {
+	runs := make([]sweep.Run, 0, len(ps)*len(cfgs))
+	for _, p := range ps {
+		for _, cfg := range cfgs {
+			runs = append(runs, sweep.Run{Profile: p, Config: cfg})
+		}
+	}
+	return runs
+}
+
+// render adapts a figure function to Figure.Render.
+func render[T any](fig func(Stats, io.Writer) T) func(Stats, io.Writer) any {
+	return func(s Stats, w io.Writer) any { return fig(s, w) }
+}
+
+// geomean returns the geometric mean of xs (which must be positive). It is
+// computed in the log domain (mean of logs) so long lists of large or tiny
+// values cannot overflow or underflow the running product; a zero input
+// yields 0 (log 0 = -Inf, exp -Inf = 0), matching the product formulation.
+func geomean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += math.Log(x)
+	}
+	return math.Exp(sum / float64(len(xs)))
+}
+
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
+}
 
 // ---------------------------------------------------------------- Figure 1
 
@@ -28,14 +200,8 @@ type Fig1Result struct {
 
 // Fig1 reproduces Figure 1: baseline IPC across register file sizes on the
 // integer suite, normalized to an infinite register file.
-func Fig1(r *Runner, w io.Writer) Fig1Result {
+func Fig1(r Stats, w io.Writer) Fig1Result {
 	profiles := workload.IntProfiles()
-	cfgs := []config.Config{base().WithPhysRegs(0)}
-	for _, s := range RFSizes {
-		cfgs = append(cfgs, base().WithPhysRegs(s))
-	}
-	r.Prefetch(profiles, cfgs)
-
 	res := Fig1Result{Sizes: RFSizes, PerBench: map[string][]float64{}, IdealIPC: map[string]float64{}}
 	fmt.Fprintf(w, "Figure 1: normalized IPC vs register file size (baseline, SPECint-like)\n")
 	fmt.Fprintf(w, "%-11s", "bench")
@@ -82,9 +248,8 @@ type Fig4Result struct {
 
 // Fig4 reproduces Figure 4: the cycle-count distribution across register
 // lifecycle states, averaged over each suite (baseline configuration).
-func Fig4(r *Runner, w io.Writer) Fig4Result {
+func Fig4(r Stats, w io.Writer) Fig4Result {
 	cfg := base()
-	r.Prefetch(workload.Profiles(), []config.Config{cfg})
 	agg := func(ps []workload.Profile) (iu, un, vu float64) {
 		var a, b, c []float64
 		for _, p := range ps {
@@ -118,9 +283,8 @@ type Fig6Result struct {
 
 // Fig6 reproduces Figure 6: the fraction of allocated registers whose
 // rename-to-redefine window is non-branch, non-except, and atomic.
-func Fig6(r *Runner, w io.Writer) Fig6Result {
+func Fig6(r Stats, w io.Writer) Fig6Result {
 	cfg := base()
-	r.Prefetch(workload.Profiles(), []config.Config{cfg})
 	res := Fig6Result{PerBench: map[string][3]float64{}}
 	fmt.Fprintf(w, "Figure 6: atomic register ratio\n")
 	fmt.Fprintf(w, "%-12s %10s %10s %10s\n", "bench", "non-branch", "non-except", "atomic")
@@ -154,16 +318,8 @@ type Fig10Result struct {
 
 // Fig10 reproduces Figure 10: IPC speedup of nonspec-ER, ATR, and the
 // combined scheme over the baseline with 64 and 224 physical registers.
-func Fig10(r *Runner, w io.Writer) Fig10Result {
+func Fig10(r Stats, w io.Writer) Fig10Result {
 	regs := []int{64, 224}
-	var cfgs []config.Config
-	for _, n := range regs {
-		for _, s := range config.Schemes() {
-			cfgs = append(cfgs, base().WithPhysRegs(n).WithScheme(s))
-		}
-	}
-	r.Prefetch(workload.Profiles(), cfgs)
-
 	res := Fig10Result{
 		Speedups: map[int]map[config.ReleaseScheme]map[string]float64{},
 		Avg:      map[int]map[config.ReleaseScheme]map[string]float64{},
@@ -227,14 +383,7 @@ type Fig11Result struct {
 
 // Fig11 reproduces Figure 11: the atomic scheme's speedup over baseline as
 // the register file grows from 64 to 280 entries.
-func Fig11(r *Runner, w io.Writer) Fig11Result {
-	var cfgs []config.Config
-	for _, n := range RFSizes {
-		cfgs = append(cfgs,
-			base().WithPhysRegs(n),
-			base().WithPhysRegs(n).WithScheme(config.SchemeATR))
-	}
-	r.Prefetch(workload.Profiles(), cfgs)
+func Fig11(r Stats, w io.Writer) Fig11Result {
 	res := Fig11Result{Sizes: RFSizes}
 	fmt.Fprintf(w, "Figure 11: ATR speedup over baseline vs RF size (%%)\n%-8s", "size")
 	for _, n := range RFSizes {
@@ -281,9 +430,8 @@ type Fig12Result struct {
 
 // Fig12 reproduces Figure 12: the distribution of consumers per atomic
 // region under ATR.
-func Fig12(r *Runner, w io.Writer) Fig12Result {
+func Fig12(r Stats, w io.Writer) Fig12Result {
 	cfg := base().WithScheme(config.SchemeATR)
-	r.Prefetch(workload.Profiles(), []config.Config{cfg})
 	res := Fig12Result{PerBench: map[string][8]float64{}}
 	fmt.Fprintf(w, "Figure 12: consumers per atomic region (%% of regions)\n")
 	fmt.Fprintf(w, "%-12s %6s %6s %6s %6s %6s %6s %6s %6s %6s %7s\n",
@@ -325,17 +473,8 @@ type Fig13Result struct {
 
 // Fig13 reproduces Figure 13: the effect of pipelining the register
 // redefinition logic by 0, 1, or 2 cycles on the atomic scheme.
-func Fig13(r *Runner, w io.Writer) Fig13Result {
+func Fig13(r Stats, w io.Writer) Fig13Result {
 	delays := []int{0, 1, 2}
-	var cfgs []config.Config
-	for _, d := range delays {
-		cfg := base().WithPhysRegs(64).WithScheme(config.SchemeATR)
-		cfg.RedefineDelay = d
-		cfgs = append(cfgs, cfg)
-	}
-	cfgs = append(cfgs, base().WithPhysRegs(64))
-	r.Prefetch(workload.IntProfiles(), cfgs)
-
 	res := Fig13Result{Delays: delays}
 	fmt.Fprintf(w, "Figure 13: ATR speedup at 64 regs with pipelined redefinition (%%)\n")
 	fmt.Fprintf(w, "%-8s %8s %8s %8s\n", "", "delay 0", "delay 1", "delay 2")
@@ -366,9 +505,8 @@ type Fig14Result struct {
 // Fig14 reproduces Figure 14: average cycles between a register's rename and
 // its redefinition, last consumption, and the redefiner's commit, within
 // atomic regions.
-func Fig14(r *Runner, w io.Writer) Fig14Result {
+func Fig14(r Stats, w io.Writer) Fig14Result {
 	cfg := base().WithScheme(config.SchemeATR)
-	r.Prefetch(workload.IntProfiles(), []config.Config{cfg})
 	res := Fig14Result{PerBench: map[string][3]float64{}}
 	fmt.Fprintf(w, "Figure 14: cycles from rename to {redefine, last consume, redefiner commit}\n")
 	fmt.Fprintf(w, "%-12s %10s %10s %10s\n", "bench", "redefine", "consume", "commit")
@@ -396,19 +534,14 @@ type Fig15Result struct {
 	AreaSave  map[config.ReleaseScheme]float64
 }
 
+// fig15Sizes is the register-file axis Fig 15 searches.
+var fig15Sizes = []int{140, 156, 172, 188, 204, 220, 236, 252, 264, 280}
+
 // Fig15 reproduces Figure 15: the smallest register file each scheme needs
 // to stay within 3% of the 280-register baseline, and the McPAT-style power
 // and area savings that shrink affords.
-func Fig15(r *Runner, w io.Writer) Fig15Result {
-	sweep := []int{140, 156, 172, 188, 204, 220, 236, 252, 264, 280}
+func Fig15(r Stats, w io.Writer) Fig15Result {
 	profiles := workload.Profiles()
-	var cfgs []config.Config
-	for _, s := range config.Schemes() {
-		for _, n := range sweep {
-			cfgs = append(cfgs, base().WithPhysRegs(n).WithScheme(s))
-		}
-	}
-	r.Prefetch(profiles, cfgs)
 
 	// Reference: baseline at 280.
 	refIPC := map[string]float64{}
@@ -437,7 +570,7 @@ func Fig15(r *Runner, w io.Writer) Fig15Result {
 	}
 	for _, s := range config.Schemes() {
 		minRegs := 280
-		for _, n := range sweep {
+		for _, n := range fig15Sizes {
 			if avgRatio(s, n) >= 0.97 {
 				minRegs = n
 				break
@@ -488,21 +621,6 @@ func Logic(w io.Writer) LogicResult {
 	fmt.Fprintf(w, "balanced trees:         %v\n", res.Balanced)
 	fmt.Fprintf(w, "(paper: 2,960 gates, 42 levels, 2.6 GHz; pipelined beyond 4 GHz)\n\n")
 	return res
-}
-
-// All runs every experiment in figure order, then the ablation studies.
-func All(r *Runner, w io.Writer) {
-	Fig1(r, w)
-	Fig4(r, w)
-	Fig6(r, w)
-	Fig10(r, w)
-	Fig11(r, w)
-	Fig12(r, w)
-	Fig13(r, w)
-	Fig14(r, w)
-	Fig15(r, w)
-	Logic(w)
-	Ablations(r, w)
 }
 
 // areaTotal is a helper over the power model.

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"atr/internal/experiments"
 	"atr/internal/sweep"
 )
 
@@ -394,7 +393,7 @@ func TestWorkerLeasesNoMoreThanSlots(t *testing.T) {
 	opts := clusterOptions(t)
 	g := sweep.MicroGrid(20_000)
 	t0 := time.Now()
-	if _, err := unitRunner(experiments.NewRunner(0), g.Instr, 0)(context.Background(), g.Units()[0]); err != nil {
+	if _, err := unitRunner(new(sweep.Programs), g.Instr, 0)(context.Background(), g.Units()[0]); err != nil {
 		t.Fatal(err)
 	}
 	opts.LeaseTimeout = max(opts.LeaseTimeout, 4*time.Since(t0))

@@ -33,7 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"atr/internal/experiments"
 	"atr/internal/obs"
 	"atr/internal/sweep"
 	"atr/internal/telemetry"
@@ -109,7 +108,7 @@ type Coordinator struct {
 	mux       *http.ServeMux
 	cache     *RunCache
 	limiter   *Limiter
-	runner    *experiments.Runner // the in-process worker's program cache
+	progs     *sweep.Programs // the in-process worker's program cache
 	tm        *metrics
 	logger    *slog.Logger
 	startedAt time.Time
@@ -225,7 +224,7 @@ func newCoordinator(opts Options, fs storeFS) (*Coordinator, error) {
 		fs:        fs,
 		cache:     NewRunCache(opts.CacheCap, tm.cacheHits, tm.cacheMisses),
 		limiter:   NewLimiter(opts.Rate, opts.Burst),
-		runner:    experiments.NewRunner(opts.DefaultInstr),
+		progs:     new(sweep.Programs),
 		tm:        tm,
 		logger:    opts.Logger,
 		startedAt: time.Now(),
@@ -613,10 +612,10 @@ func (c *Coordinator) acceptLocked(j *job, rec sweep.Record, node string, resume
 
 // deliverLocked takes one executed record from the named worker: accepted
 // into a live job, finishing it if that was the last unit, or — for a job
-// that already ended — kept only for its cache value.
+// that already ended — counted and dropped. A finished job has released
+// its unit keys, so such a record cannot be checked and is never cached.
 func (c *Coordinator) deliverLocked(j *job, worker string, rec sweep.Record) bool {
 	if !j.live() {
-		c.cache.Put(rec.Key, j.grid.Instr, rec)
 		c.tm.dupUploads.Inc()
 		return false
 	}
@@ -810,7 +809,7 @@ func (c *Coordinator) Fleet() obs.ClusterInfo {
 func (c *Coordinator) Metrics() obs.ServerInfo {
 	tm := c.tm
 	hits, misses, size, capacity := c.cache.Stats()
-	_, progs := c.runner.ProgramCacheStats()
+	_, progs := c.progs.Stats()
 	return obs.ServerInfo{
 		Build:          obs.Build(),
 		StartedAt:      c.startedAt.UTC().Format(time.RFC3339Nano),

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"atr/internal/experiments"
 	"atr/internal/pipeline"
 	"atr/internal/sweep"
 	"atr/internal/telemetry"
@@ -39,7 +38,7 @@ func (c *Coordinator) localSlot(slot int) {
 			hook(j.id)
 		}
 		t0 := time.Now()
-		rec := sweep.ExecuteUnit(c.ctx, u, unitRunner(c.runner, instr, j.spec.InjectPanic),
+		rec := sweep.ExecuteUnit(c.ctx, u, unitRunner(c.progs, instr, j.spec.InjectPanic),
 			c.opts.Retries, c.opts.Backoff, nil)
 		dur := time.Since(t0)
 		if c.ctx.Err() != nil && rec.Err != "" {
@@ -59,9 +58,10 @@ func (c *Coordinator) localSlot(slot int) {
 // unitRunner is every worker's RunFunc: sweep.RunUnit over a shared
 // program cache, with the job's fault injection applied by grid position
 // exactly as the offline engine applies it.
-func unitRunner(runner *experiments.Runner, instr uint64, injectPanic int) sweep.RunFunc {
+func unitRunner(progs *sweep.Programs, instr uint64, injectPanic int) sweep.RunFunc {
 	fn := func(_ context.Context, u sweep.Unit) (pipeline.Result, error) {
-		return sweep.RunUnit(u, runner.Program(u.Profile), instr)
+		res, _, err := sweep.RunUnit(u, progs.Get(u.Profile), instr)
+		return res, err
 	}
 	if injectPanic > 0 {
 		return sweep.InjectPanicRun(fn, injectPanic)

@@ -119,9 +119,9 @@ func (tm *metrics) registerCollectors(c *Coordinator) {
 	tm.reg.GaugeFunc("atr_result_cache_capacity", "Result cache capacity.",
 		func() float64 { _, _, _, capacity := c.cache.Stats(); return float64(capacity) })
 	tm.reg.CounterFunc("atr_runner_program_hits_total", "In-process worker program-cache hits.",
-		func() uint64 { h, _ := c.runner.ProgramCacheStats(); return h })
+		func() uint64 { h, _ := c.progs.Stats(); return h })
 	tm.reg.GaugeFunc("atr_runner_programs_cached", "Program images resident in the in-process worker's cache.",
-		func() float64 { _, n := c.runner.ProgramCacheStats(); return float64(n) })
+		func() float64 { _, n := c.progs.Stats(); return float64(n) })
 	tm.reg.GaugeFunc("atr_cluster_workers", "Workers registered and live, the in-process worker included.",
 		func() float64 { return float64(len(c.Fleet().Workers)) })
 	tm.reg.GaugeFunc("atr_cluster_jobs_active", "Jobs queued or running.",

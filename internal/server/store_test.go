@@ -226,6 +226,25 @@ func TestFinishedJobReleasesRecords(t *testing.T) {
 	if st2 := jobStatus(t, hs.URL, id); st2.Progress != st.Progress || st2.State != StateDone {
 		t.Fatalf("late upload changed the job: %+v", st2)
 	}
+
+	// A forged record naming the finished job, under the key of a run the
+	// job never had, is dropped as well: it must not reach the result
+	// cache, so the next submission of that run executes it.
+	run := JobSpec{Kind: "run", Bench: "gcc", Instr: 700}
+	g, err := run.ResolveGrid(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := sweep.Record{Key: g.Units()[0].Key, Bench: "gcc", Attempts: 1}
+	forged.Result.Committed = 7
+	if up := fake.upload(t, id, forged); up.Accepted != 0 || up.Duplicate != 1 {
+		t.Fatalf("forged upload: %+v, want one duplicate", up)
+	}
+	rid := submitJob(t, hs.URL, run)
+	waitState(t, c, rid, StateDone)
+	if !bytes.Equal(fetchManifest(t, hs.URL, rid), offlineManifest(t, g, 0)) {
+		t.Fatal("a record uploaded for a finished job was served to a later job")
+	}
 }
 
 // TestUnparseableStatusIsFailed pins recovery of a damaged terminal

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"atr/internal/experiments"
 	"atr/internal/sweep"
 )
 
@@ -56,7 +55,7 @@ type WorkerOptions struct {
 type Worker struct {
 	opts    WorkerOptions
 	client  *http.Client
-	runner  *experiments.Runner
+	progs   *sweep.Programs // one immutable image per profile across all assignments
 	wm      *workerMetrics
 	logger  *slog.Logger
 	regLock chan struct{} // capacity 1: held while re-registering
@@ -75,13 +74,9 @@ func NewWorker(opts WorkerOptions) *Worker {
 		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	return &Worker{
-		opts:   opts,
-		client: &http.Client{Timeout: 30 * time.Second},
-		// The runner is used only for its shared program cache (one
-		// immutable image per profile across all assignments); result
-		// dedup is the coordinator's job, through the content-addressed
-		// cache.
-		runner:  experiments.NewRunner(0),
+		opts:    opts,
+		client:  &http.Client{Timeout: 30 * time.Second},
+		progs:   new(sweep.Programs),
 		wm:      newWorkerMetrics(opts.Coordinator, opts.Name),
 		logger:  opts.Logger,
 		regLock: make(chan struct{}, 1),
@@ -283,7 +278,7 @@ func (w *Worker) execute(ctx context.Context, a Assignment) {
 		return
 	}
 	units := g.Units()
-	fn := unitRunner(w.runner, g.Instr, a.Spec.InjectPanic)
+	fn := unitRunner(w.progs, g.Instr, a.Spec.InjectPanic)
 	for _, seq := range a.Seqs {
 		if seq < 0 || seq >= len(units) {
 			w.upload(ctx, uploadRequest{

@@ -75,6 +75,7 @@ type Engine struct {
 
 	mu      sync.Mutex
 	rec     []*Record
+	detail  []*Detail // per-unit slots the engine's own run function fills
 	shards  []obs.ShardStat
 	info    obs.SweepInfo
 	journal io.Writer
@@ -95,28 +96,40 @@ func (e *Engine) Info() obs.SweepInfo {
 
 // Execute runs every unit of g that the resume journal does not already
 // cover, using fn, and returns the merged manifest with runs in grid order.
-// A nil fn selects the engine's own run functions (Sim(g.Instr)), which run
-// consecutive exact units of one profile as lockstep lanes over one shared
-// program image; a caller's fn runs every unit solo. The manifest is a pure
-// function of (grid, injection settings): worker count, stealing schedule,
-// lane grouping and resume splits cannot change a byte of it. On
-// cancellation Execute returns the context error and no manifest;
-// completed runs are already journaled, so a later Execute with Resume
-// picks up where this one stopped.
+// A nil fn selects the engine's own run function (RunUnit over one shared
+// program cache), which runs consecutive exact units of one profile as
+// lockstep lanes and is the only one that fills a Detail grid's records; a
+// caller's fn runs every unit solo and is refused for a Detail grid. The
+// manifest is a pure function of (grid, injection settings): worker count,
+// stealing schedule, lane grouping and resume splits cannot change a byte
+// of it. On cancellation Execute returns the context error and no
+// manifest; completed runs are already journaled, so a later Execute with
+// Resume picks up where this one stopped.
 func (e *Engine) Execute(ctx context.Context, g Grid, fn RunFunc) (*Manifest, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var progs *progCache // non-nil when the engine runs its own units and may group them
-	lanes := 1
-	if fn == nil {
-		progs = new(progCache)
-		fn = progs.sim(g.Instr)
-		lanes = laneWidth
+	if g.Detail && fn != nil {
+		return nil, fmt.Errorf("sweep: grid %q asks for Detail records, which only the engine's own run function fills (pass a nil RunFunc)", g.Name)
 	}
 	units := g.Units()
 	if len(units) == 0 {
 		return nil, fmt.Errorf("sweep: grid %q is empty", g.Name)
+	}
+	var progs *Programs // non-nil when the engine runs its own units and may group them
+	var detail []*Detail
+	lanes := 1
+	if fn == nil {
+		progs = new(Programs)
+		detail = make([]*Detail, len(units))
+		fn = func(_ context.Context, u Unit) (pipeline.Result, error) {
+			res, d, err := RunUnit(u, progs.Get(u.Profile), g.Instr)
+			detail[u.Seq] = d
+			return res, err
+		}
+		if !g.Detail {
+			lanes = laneWidth
+		}
 	}
 	seen := make(map[string]int, len(units))
 	for _, u := range units {
@@ -135,6 +148,7 @@ func (e *Engine) Execute(ctx context.Context, g Grid, fn RunFunc) (*Manifest, er
 
 	e.mu.Lock()
 	e.rec = make([]*Record, len(units))
+	e.detail = detail
 	e.shards = make([]obs.ShardStat, e.pool.Workers())
 	for i := range e.shards {
 		e.shards[i].Worker = i
@@ -302,6 +316,9 @@ func FinalizeManifest(g Grid, runs []Record) (*Manifest, error) {
 func (e *Engine) runSolo(ctx context.Context, u Unit, fn RunFunc, worker int) {
 	t0 := time.Now()
 	rec := e.runOne(ctx, u, fn)
+	if rec.Err == "" && u.Detail {
+		rec.Detail = e.detail[u.Seq]
+	}
 	busyDur := time.Since(t0)
 	if cb := e.opts.OnRun; cb != nil {
 		cb(u, worker, t0, busyDur, rec.Err)
@@ -315,7 +332,7 @@ func (e *Engine) runSolo(ctx context.Context, u Unit, fn RunFunc, worker int) {
 // config is invalid or the lanes panic; the caller then re-runs every unit
 // through the per-unit path with its full retry budget, so grouping only
 // ever adds a fast path and never changes failure semantics.
-func (e *Engine) runGroup(us []Unit, progs *progCache, instr uint64, worker int) bool {
+func (e *Engine) runGroup(us []Unit, progs *Programs, instr uint64, worker int) bool {
 	t0 := time.Now()
 	res, setup, exec, err := func() (res []pipeline.Result, setup, exec time.Duration, err error) {
 		defer func() {
@@ -330,7 +347,7 @@ func (e *Engine) runGroup(us []Unit, progs *progCache, instr uint64, worker int)
 			}
 			cfgs[i] = u.Config
 		}
-		res, setup, exec = runLanes(progs.get(us[0].Profile), cfgs, instr)
+		res, setup, exec = runLanes(progs.Get(us[0].Profile), cfgs, instr)
 		return res, setup, exec, nil
 	}()
 	if err != nil {

@@ -5,19 +5,18 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 
 	"atr/internal/checkpoint"
 	"atr/internal/config"
 	"atr/internal/pipeline"
+	"atr/internal/power"
 	"atr/internal/program"
 	"atr/internal/workload"
 )
 
 // MemoKey returns the canonical identity string of one (profile, config)
-// run — the same string experiments.Runner uses as its memoization key.
-// The config is rendered with %+v so every field, including ones added in
-// the future, participates and cannot silently alias two different runs.
+// run. The config is rendered with %+v so every field, including ones added
+// in the future, participates and cannot silently alias two different runs.
 func MemoKey(p workload.Profile, cfg config.Config) string {
 	return fmt.Sprintf("%s|%+v", p.Name, cfg)
 }
@@ -29,9 +28,20 @@ func MemoKey(p workload.Profile, cfg config.Config) string {
 // string only when non-empty ("" for an exact unit), so a sampled unit can
 // never alias the exact unit for the same (profile, config).
 func KeyWithSample(p workload.Profile, cfg config.Config, sample string) string {
+	return unitKey(p, cfg, sample, false)
+}
+
+// unitKey is KeyWithSample extended with the Detail request, which enters
+// the identity string only when set: a Detail record never aliases the
+// plain record of the same run, and every grid that asks for no Detail
+// keeps its keys.
+func unitKey(p workload.Profile, cfg config.Config, sample string, detail bool) string {
 	mk := MemoKey(p, cfg)
 	if sample != "" {
 		mk += "|sample=" + sample
+	}
+	if detail {
+		mk += "|detail"
 	}
 	sum := sha256.Sum256([]byte(mk))
 	return hex.EncodeToString(sum[:16])
@@ -47,13 +57,22 @@ type Unit struct {
 	// -sample-mode syntax ("systematic:<period>/<window>/<warmup>"), or ""
 	// for exact full-detail simulation.
 	Sample string
+	// Detail asks for the run's Detail beside its Result (Grid.Detail).
+	Detail bool
+}
+
+// Run is one (profile, config) pair of an explicit run list (Grid.Runs).
+type Run struct {
+	Profile workload.Profile
+	Config  config.Config
 }
 
 // Grid declares a sweep: the cross product of profiles × register-file
-// sizes × release schemes over a base configuration, each run simulating
-// Instr instructions. Units are ordered profile-major, then register-file
-// size, then scheme — the deterministic order the final manifest reports
-// regardless of execution schedule.
+// sizes × release schemes over a base configuration, or an explicit run
+// list, each run simulating Instr instructions. Product units are ordered
+// profile-major, then register-file size, then scheme; a run list keeps
+// its own order. That is the deterministic order the final manifest
+// reports regardless of execution schedule.
 type Grid struct {
 	Name     string
 	Instr    uint64
@@ -61,16 +80,27 @@ type Grid struct {
 	Profiles []workload.Profile
 	PhysRegs []int                  // empty: use Base.PhysRegs unchanged
 	Schemes  []config.ReleaseScheme // empty: use Base.Scheme unchanged
+	// Runs, when set, is the grid's explicit run list, used in place of
+	// the Profiles × PhysRegs × Schemes product: a union of products
+	// that the axes cannot hold, such as a set of paper figures.
+	Runs []Run
 	// SampleModes is the sampled-execution axis: each entry is a
 	// checkpoint plan in -sample-mode syntax, or "" for exact
 	// full-detail simulation. Empty means every unit runs exact — the
 	// grid identity (and every unit key) is then byte-identical to a
 	// grid that predates the axis.
 	SampleModes []string
+	// Detail asks for a Detail on every record. A Detail unit runs exact
+	// and solo with lifetime tracking on, on the engine's own run
+	// function only; the request enters every unit key.
+	Detail bool
 }
 
-// Units expands the grid into its runs in deterministic order.
-func (g Grid) Units() []Unit {
+// runs returns the grid's run list: Runs, or the axis product.
+func (g Grid) runs() []Run {
+	if len(g.Runs) > 0 {
+		return g.Runs
+	}
 	regs := g.PhysRegs
 	if len(regs) == 0 {
 		regs = []int{g.Base.PhysRegs}
@@ -79,44 +109,67 @@ func (g Grid) Units() []Unit {
 	if len(schemes) == 0 {
 		schemes = []config.ReleaseScheme{g.Base.Scheme}
 	}
+	runs := make([]Run, 0, len(g.Profiles)*len(regs)*len(schemes))
+	for _, p := range g.Profiles {
+		for _, n := range regs {
+			for _, s := range schemes {
+				runs = append(runs, Run{p, g.Base.WithPhysRegs(n).WithScheme(s)})
+			}
+		}
+	}
+	return runs
+}
+
+// Units expands the grid into its runs in deterministic order.
+func (g Grid) Units() []Unit {
 	modes := g.SampleModes
 	if len(modes) == 0 {
 		modes = []string{""}
 	}
-	units := make([]Unit, 0, len(g.Profiles)*len(regs)*len(schemes)*len(modes))
-	for _, p := range g.Profiles {
-		for _, n := range regs {
-			for _, s := range schemes {
-				cfg := g.Base.WithPhysRegs(n).WithScheme(s)
-				for _, sm := range modes {
-					units = append(units, Unit{
-						Seq:     len(units),
-						Profile: p,
-						Config:  cfg,
-						Key:     KeyWithSample(p, cfg, sm),
-						Sample:  sm,
-					})
-				}
-			}
+	runs := g.runs()
+	units := make([]Unit, 0, len(runs)*len(modes))
+	for _, r := range runs {
+		for _, sm := range modes {
+			units = append(units, Unit{
+				Seq:     len(units),
+				Profile: r.Profile,
+				Config:  r.Config,
+				Key:     unitKey(r.Profile, r.Config, sm, g.Detail),
+				Sample:  sm,
+				Detail:  g.Detail,
+			})
 		}
 	}
 	return units
 }
 
-// info renders the grid's identity for the manifest header.
+// info renders the grid's identity for the manifest header. A run list
+// reports only its distinct profiles: its configs are not axis products.
 func (g Grid) info() GridInfo {
-	gi := GridInfo{Name: g.Name, Instr: g.Instr, PhysRegs: g.PhysRegs}
-	for _, p := range g.Profiles {
-		gi.Profiles = append(gi.Profiles, p.Name)
-	}
-	for _, s := range g.Schemes {
-		gi.Schemes = append(gi.Schemes, s.String())
-	}
-	if len(gi.PhysRegs) == 0 {
-		gi.PhysRegs = []int{g.Base.PhysRegs}
-	}
-	if len(gi.Schemes) == 0 {
-		gi.Schemes = []string{g.Base.Scheme.String()}
+	gi := GridInfo{Name: g.Name, Instr: g.Instr, Total: len(g.Runs)}
+	if len(g.Runs) > 0 {
+		seen := make(map[string]bool)
+		for _, r := range g.Runs {
+			if !seen[r.Profile.Name] {
+				seen[r.Profile.Name] = true
+				gi.Profiles = append(gi.Profiles, r.Profile.Name)
+			}
+		}
+	} else {
+		gi.PhysRegs = g.PhysRegs
+		for _, p := range g.Profiles {
+			gi.Profiles = append(gi.Profiles, p.Name)
+		}
+		for _, s := range g.Schemes {
+			gi.Schemes = append(gi.Schemes, s.String())
+		}
+		if len(gi.PhysRegs) == 0 {
+			gi.PhysRegs = []int{g.Base.PhysRegs}
+		}
+		if len(gi.Schemes) == 0 {
+			gi.Schemes = []string{g.Base.Scheme.String()}
+		}
+		gi.Total = len(gi.Profiles) * len(gi.PhysRegs) * len(gi.Schemes)
 	}
 	for _, m := range g.SampleModes {
 		if m == "" {
@@ -124,7 +177,6 @@ func (g Grid) info() GridInfo {
 		}
 		gi.SampleModes = append(gi.SampleModes, m)
 	}
-	gi.Total = len(gi.Profiles) * len(gi.PhysRegs) * len(gi.Schemes)
 	if len(gi.SampleModes) > 0 {
 		gi.Total *= len(gi.SampleModes)
 	}
@@ -229,60 +281,72 @@ func GridByName(name string, instr uint64) (Grid, error) {
 // for the engine's manifest-determinism guarantee to hold.
 type RunFunc func(ctx context.Context, u Unit) (pipeline.Result, error)
 
-// progCache generates each profile's program at most once. Programs are
-// immutable code images, shared freely across workers and lanes.
-type progCache struct {
-	mu    sync.Mutex
-	progs map[string]*progOnce
-}
-
-type progOnce struct {
-	once sync.Once
-	prog *program.Program
-}
-
-func (c *progCache) get(p workload.Profile) *program.Program {
-	c.mu.Lock()
-	if c.progs == nil {
-		c.progs = make(map[string]*progOnce)
-	}
-	e, ok := c.progs[p.Name]
-	if !ok {
-		e = &progOnce{}
-		c.progs[p.Name] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.prog = p.Generate() })
-	return e.prog
-}
-
-// sim is the solo RunFunc over this cache's programs (see Sim).
-func (c *progCache) sim(instr uint64) RunFunc {
-	return func(_ context.Context, u Unit) (pipeline.Result, error) {
-		return RunUnit(u, c.get(u.Profile), instr)
-	}
-}
-
 // Sim returns the standard solo RunFunc: simulate each unit's profile under
 // its config for instr instructions, generating each profile's program at
 // most once per RunFunc. Passed to Execute, it runs every unit solo.
-func Sim(instr uint64) RunFunc { return new(progCache).sim(instr) }
+func Sim(instr uint64) RunFunc {
+	progs := new(Programs)
+	return func(_ context.Context, u Unit) (pipeline.Result, error) {
+		res, _, err := RunUnit(u, progs.Get(u.Profile), instr)
+		return res, err
+	}
+}
+
+// Detail is what the paper's analysis figures read from one exact run
+// beyond its pipeline.Result: the lifetime ledger's state split (Fig 4),
+// region ratios (Fig 6), event gaps (Fig 14) and consumer fractions
+// (Fig 12), and the activity counts Fig 15's power model prices.
+type Detail struct {
+	InUse, Unused, Verified            float64
+	NonBranch, NonExcept, Atomic       float64
+	GapRedefine, GapConsume, GapCommit float64
+	// ConsumerFrac[v] is the fraction of atomic regions with v consumers;
+	// index 7 holds seven or more.
+	ConsumerFrac [8]float64
+	Activity     power.Activity
+}
 
 // RunUnit simulates one grid unit over prog, the unit's profile image, for
 // instr instructions: exact detailed simulation, or the unit's sampling
-// plan. It is the one place a unit becomes a pipeline.Result — Sim and
-// every job-service worker call it — so which executor ran a unit can
-// never change its record.
-func RunUnit(u Unit, prog *program.Program, instr uint64) (pipeline.Result, error) {
+// plan. A Detail unit runs exact with lifetime tracking on and also
+// returns its Detail; a sampled Detail unit is refused. RunUnit is the one
+// place a unit becomes a pipeline.Result — the engine, Sim and every
+// job-service worker call it — so which executor ran a unit can never
+// change its record.
+func RunUnit(u Unit, prog *program.Program, instr uint64) (pipeline.Result, *Detail, error) {
 	if err := u.Config.Validate(); err != nil {
-		return pipeline.Result{}, err
+		return pipeline.Result{}, nil, err
 	}
 	if u.Sample != "" {
+		if u.Detail {
+			return pipeline.Result{}, nil, fmt.Errorf("sweep: unit %s asks for a Detail, which only an exact run has (sample %s)", u.Key, u.Sample)
+		}
 		plan, err := checkpoint.ParseMode(u.Sample)
 		if err != nil {
-			return pipeline.Result{}, err
+			return pipeline.Result{}, nil, err
 		}
-		return checkpoint.Run(u.Config, prog, pipeline.SchedulerEvent, instr, plan).Result, nil
+		return checkpoint.Run(u.Config, prog, pipeline.SchedulerEvent, instr, plan).Result, nil, nil
 	}
-	return pipeline.New(u.Config, prog).Run(instr), nil
+	cpu := pipeline.New(u.Config, prog)
+	if !u.Detail {
+		return cpu.Run(instr), nil, nil
+	}
+	cpu.Engine.TrackLifetimes()
+	res := cpu.Run(instr)
+	led := cpu.Engine.Ledger
+	d := &Detail{Activity: cpu.Activity()}
+	d.InUse, d.Unused, d.Verified = led.StateFractions()
+	d.NonBranch, d.NonExcept, d.Atomic = led.RegionFractions()
+	d.GapRedefine, d.GapConsume, d.GapCommit = led.EventGaps()
+	if led.ConsumerHist.Count() > 0 {
+		var tail float64
+		for v := 0; v <= 6; v++ {
+			d.ConsumerFrac[v] = led.ConsumerHist.Fraction(v)
+			tail += d.ConsumerFrac[v]
+		}
+		if tail < 1 {
+			d.ConsumerFrac[7] = 1 - tail
+		}
+	}
+	return res, d, nil
 }

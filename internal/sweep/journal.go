@@ -34,6 +34,7 @@ type Record struct {
 	Attempts int             `json:"attempts"`
 	Err      string          `json:"error,omitempty"`
 	Result   pipeline.Result `json:"result"`
+	Detail   *Detail         `json:"detail,omitempty"` // only on a Detail grid's records
 }
 
 // journalHeader is the first line of a journal, binding it to one grid so a

@@ -33,7 +33,7 @@ func TestRunUnitTracksNoLifetimes(t *testing.T) {
 		pipeline.New(cfg, prog).Run(instr)
 	})
 	unit := testing.AllocsPerRun(5, func() {
-		if _, err := RunUnit(u, prog, instr); err != nil {
+		if _, _, err := RunUnit(u, prog, instr); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,10 +1,9 @@
-package experiments
+package sweep
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -27,17 +26,17 @@ func runDigest(cfg config.Config, prog *program.Program, n uint64) (pipeline.Res
 	return res, cpu.Engine.Stats.String() + cpu.Stats.String(), hex.EncodeToString(h.Sum(nil))
 }
 
-// TestSharedProgramEquivalence proves the runner's shared program cache is
+// TestSharedProgramEquivalence proves the shared program cache is
 // observationally invisible: a run on the cached program — including a
 // second run on the very same Program value — is bit-identical (Result,
 // every counter, full event trace) to a run on a freshly generated one.
 func TestSharedProgramEquivalence(t *testing.T) {
 	const instrs = 4000
 	p, _ := workload.ByName("xalancbmk")
-	r := testRunner()
-	shared := r.Program(p)
-	if shared != r.Program(p) {
-		t.Fatal("Program not cached: second call returned a different pointer")
+	progs := new(Programs)
+	shared := progs.Get(p)
+	if shared != progs.Get(p) {
+		t.Fatal("Get not cached: second call returned a different pointer")
 	}
 	cfg := config.GoldenCove().WithScheme(config.SchemeCombined).WithPhysRegs(64)
 
@@ -56,47 +55,73 @@ func TestSharedProgramEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunnerProgramCacheConcurrent hammers the program cache and the
-// memoized Run path from many goroutines (run under -race in CI): every
-// caller must observe the same Program pointer and identical results.
-func TestRunnerProgramCacheConcurrent(t *testing.T) {
-	r := NewRunner(2000)
+// TestProgramsConcurrent hammers the program cache from many goroutines
+// (run under -race in CI): every caller must observe the same Program
+// pointer, and each profile is generated once.
+func TestProgramsConcurrent(t *testing.T) {
+	progs := new(Programs)
 	ps := workload.Profiles()[:4]
-	cfgs := []config.Config{
-		config.GoldenCove().WithPhysRegs(64),
-		config.GoldenCove().WithPhysRegs(64).WithScheme(config.SchemeATR),
-	}
 	var wg sync.WaitGroup
-	progs := make([]*program.Program, 8*len(ps))
+	got := make([]*program.Program, 8*len(ps))
 	for g := 0; g < 8; g++ {
 		for pi, p := range ps {
 			wg.Add(1)
 			go func(g, pi int, p workload.Profile) {
 				defer wg.Done()
-				progs[g*len(ps)+pi] = r.Program(p)
-				for _, cfg := range cfgs {
-					r.Run(p, cfg)
-				}
+				got[g*len(ps)+pi] = progs.Get(p)
 			}(g, pi, p)
 		}
 	}
 	wg.Wait()
 	for pi, p := range ps {
-		want := r.Program(p)
+		want := progs.Get(p)
 		for g := 0; g < 8; g++ {
-			if progs[g*len(ps)+pi] != want {
+			if got[g*len(ps)+pi] != want {
 				t.Errorf("%s: goroutine %d saw a different Program pointer", p.Name, g)
 			}
 		}
 	}
-	if runs, instr, cycles := r.Totals(); runs != len(ps)*len(cfgs) || instr == 0 || cycles == 0 {
-		t.Errorf("Totals = (%d, %d, %d), want %d unique runs with nonzero work",
-			runs, instr, cycles, len(ps)*len(cfgs))
+	if hits, size := progs.Stats(); size != len(ps) || hits != uint64(8*len(ps)) {
+		t.Errorf("Stats = (%d hits, %d resident), want (%d, %d)", hits, size, 8*len(ps), len(ps))
+	}
+}
+
+// TestProgramsBounded proves the cache holds at most its bound, evicting
+// the least recently used image, and that a regenerated image equals the
+// original (generation is a pure function of the profile).
+func TestProgramsBounded(t *testing.T) {
+	progs := &Programs{max: 2}
+	var ps []workload.Profile
+	for i := 0; i < 4; i++ {
+		p := workload.Micro(uint64(20 + i))
+		p.Name = fmt.Sprintf("lru-prog-%d", i)
+		ps = append(ps, p)
+	}
+	first := progs.Get(ps[0])
+	for _, p := range ps {
+		progs.Get(p)
+	}
+	if _, size := progs.Stats(); size != 2 {
+		t.Fatalf("%d images resident, want the bound 2", size)
+	}
+	// ps[0] was evicted by ps[2]; a fresh request regenerates, yielding a
+	// distinct pointer but an identical image.
+	again := progs.Get(ps[0])
+	if first == again {
+		t.Fatalf("program for %s not evicted under bound 2", ps[0].Name)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Fatalf("regenerated program for %s differs from original", ps[0].Name)
+	}
+	// The most recently used survivor keeps its pointer identity.
+	p3 := progs.Get(ps[3])
+	if progs.Get(ps[3]) != p3 {
+		t.Fatalf("resident program lost pointer identity")
 	}
 }
 
 // perturb mutates the addressable leaf value v to something different, so
-// tests can prove the field is observable through key().
+// tests can prove the field is observable through MemoKey.
 func perturb(v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
@@ -129,13 +154,14 @@ func leafFields(t reflect.Type, prefix []int, out *[][]int) {
 }
 
 // TestKeyCoversEveryConfigField walks config.Config by reflection,
-// perturbs each leaf field in turn, and asserts the memoization key
-// changes. This pins the key() contract: no present or future Config field
-// may silently alias two different simulations onto one cached result.
+// perturbs each leaf field in turn, and asserts MemoKey changes. This pins
+// the key contract every run key and figure lookup rests on: no present or
+// future Config field may silently alias two different simulations onto
+// one record.
 func TestKeyCoversEveryConfigField(t *testing.T) {
 	p, _ := workload.ByName("exchange2")
 	base := config.GoldenCove()
-	baseKey := key(p, base)
+	baseKey := MemoKey(p, base)
 
 	var paths [][]int
 	leafFields(reflect.TypeOf(base), nil, &paths)
@@ -153,39 +179,14 @@ func TestKeyCoversEveryConfigField(t *testing.T) {
 			v = v.Field(i)
 		}
 		perturb(v)
-		if key(p, cfg) == baseKey {
+		if MemoKey(p, cfg) == baseKey {
 			t.Errorf("perturbing Config%s does not change the memoization key", name)
 		}
 	}
 
 	// The profile identity must participate too.
 	q, _ := workload.ByName("omnetpp")
-	if key(q, base) == baseKey {
+	if MemoKey(q, base) == baseKey {
 		t.Error("profile name does not change the memoization key")
-	}
-}
-
-// TestGeomeanExtremes pins the log-domain formulation: a running product
-// over these inputs would overflow (or underflow) float64 and return +Inf
-// or 0, but the mean of logs stays in range.
-func TestGeomeanExtremes(t *testing.T) {
-	big := make([]float64, 50)
-	tiny := make([]float64, 50)
-	for i := range big {
-		big[i] = 1e300 // product overflows after 2 elements
-		tiny[i] = 1e-300
-	}
-	if g := geomean(big); math.IsInf(g, 0) || math.Abs(g-1e300)/1e300 > 1e-9 {
-		t.Errorf("geomean of 1e300s = %v, want 1e300", g)
-	}
-	if g := geomean(tiny); g == 0 || math.Abs(g-1e-300)/1e-300 > 1e-9 {
-		t.Errorf("geomean of 1e-300s = %v, want 1e-300", g)
-	}
-	mixed := append(append([]float64{}, big...), tiny...)
-	if g := geomean(mixed); math.Abs(g-1) > 1e-9 {
-		t.Errorf("geomean of balanced extremes = %v, want 1", g)
-	}
-	if g := geomean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
-		t.Errorf("geomean(2,8) = %v, want 4", g)
 	}
 }

@@ -98,15 +98,41 @@ func TestSweepDeterminism(t *testing.T) {
 // TestSweepResume kills a journal mid-write (whole records dropped plus a
 // torn final line) and proves the resumed sweep reconstructs the exact
 // manifest of the uninterrupted run while re-executing only missing runs.
+// A Detail grid must resume to the same bytes too: its records' Details
+// survive the journal.
 func TestSweepResume(t *testing.T) {
-	g := testGrid()
+	detail := testGrid()
+	detail.Detail = true
+	plain := testGrid().Units()
+	for i, u := range detail.Units() {
+		if u.Key == plain[i].Key {
+			t.Fatalf("Detail unit %d shares its key with the plain unit: a plain journal would resume it", i)
+		}
+	}
+	for _, g := range []Grid{testGrid(), detail} {
+		t.Run(fmt.Sprintf("detail=%v", g.Detail), func(t *testing.T) { testSweepResume(t, g) })
+	}
+}
 
+func testSweepResume(t *testing.T, g Grid) {
+	// detailed checks that every record carries a Detail exactly when the
+	// grid asks for one: equal bytes alone would miss a Detail that the
+	// journal and the manifest both drop.
+	detailed := func(m *Manifest) {
+		t.Helper()
+		for _, r := range m.Runs {
+			if (r.Detail != nil) != g.Detail {
+				t.Fatalf("run %d: Detail %v on a grid with Detail %v", r.Seq, r.Detail, g.Detail)
+			}
+		}
+	}
 	var journal bytes.Buffer
 	eng := New(Options{Workers: 4, Journal: &journal})
 	full, err := eng.Execute(context.Background(), g, nil)
 	if err != nil {
 		t.Fatalf("full sweep: %v", err)
 	}
+	detailed(full)
 	wantBytes := encode(t, full)
 
 	// Truncate: keep the header plus 9 records, then a torn partial line —
@@ -135,6 +161,7 @@ func TestSweepResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resumed sweep: %v", err)
 	}
+	detailed(resumed)
 	if !bytes.Equal(encode(t, resumed), wantBytes) {
 		t.Error("resumed manifest differs from uninterrupted manifest")
 	}
@@ -153,25 +180,24 @@ func TestSweepResume(t *testing.T) {
 		t.Fatalf("load resumed journal: %v", err)
 	}
 	eng3 := New(Options{Workers: 2, Resume: j2})
-	again, err := eng3.Execute(context.Background(), g,
-		func(ctx context.Context, u Unit) (pipeline.Result, error) {
-			t.Errorf("run %s re-executed despite complete journal", u.Key)
-			return pipeline.Result{}, nil
-		})
+	again, err := eng3.Execute(context.Background(), g, nil)
 	if err != nil {
 		t.Fatalf("journal-only sweep: %v", err)
 	}
+	detailed(again)
 	if !bytes.Equal(encode(t, again), wantBytes) {
 		t.Error("journal-only manifest differs from uninterrupted manifest")
 	}
 	if got := eng3.Info().Resumed; got != len(full.Runs) {
 		t.Errorf("journal-only Resumed = %d, want %d", got, len(full.Runs))
 	}
+	for _, s := range eng3.Info().Shards {
+		if s.Runs != 0 {
+			t.Errorf("worker %d re-executed %d runs despite a complete journal", s.Worker, s.Runs)
+		}
+	}
 }
 
-// TestSweepInjectPanic proves the fault-injection contract: the poisoned
-// run panics on every attempt, is retried with backoff, and degrades to a
-// recorded failure while the rest of the sweep completes normally.
 func TestSweepInjectPanic(t *testing.T) {
 	g := testGrid()
 	const poisoned = 3 // 1-based: grid seq 2
@@ -364,6 +390,40 @@ func TestResumeJournalGridMismatch(t *testing.T) {
 	j.Instr++
 	if _, err := New(Options{Resume: j}).Execute(context.Background(), g, nil); err == nil {
 		t.Error("resuming with a different instruction budget did not fail")
+	}
+}
+
+// TestDetailRefusals: a Detail is read off an exact run's lifetime ledger,
+// and only the engine's own run function returns it to the record. So a
+// sampled Detail unit fails, and a Detail grid with a caller's RunFunc is
+// refused before anything runs.
+func TestDetailRefusals(t *testing.T) {
+	sampled := testGrid()
+	sampled.Detail = true
+	sampled.SampleModes = []string{"systematic:1000/200/50"}
+	caller := testGrid()
+	caller.Detail = true
+	for _, tc := range []struct {
+		name string
+		g    Grid
+		fn   RunFunc
+		want string
+	}{
+		{"sampled unit", sampled, nil, "only an exact run"},
+		{"caller's RunFunc", caller, Sim(caller.Instr), "engine's own run function"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := New(Options{Retries: 0}).Execute(context.Background(), tc.g, tc.fn)
+			if err == nil {
+				if m.Totals.Done != 0 {
+					t.Fatalf("%d of %d runs succeeded", m.Totals.Done, len(m.Runs))
+				}
+				err = fmt.Errorf("%s", m.Runs[0].Err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+		})
 	}
 }
 
